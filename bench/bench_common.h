@@ -10,6 +10,7 @@
 // var (default 1.0 = the bench's own default workload, which is already
 // a scaled-down-but-faithful version of the paper's 720k-page study).
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -21,12 +22,33 @@
 
 namespace webevo::bench {
 
-/// Workload multiplier from the WEBEVO_SCALE environment variable.
+/// A bench knob from environment variable `name`: `fallback` when the
+/// variable is unset or empty, else its value, which must parse whole
+/// as a finite number >= 0. Zero is a real value (WEBEVO_BODY_BYTES=0
+/// switches the body filler off). Anything else exits with status 2
+/// instead of silently running some other workload.
+inline double EnvOr(const char* name, double fallback) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || *raw == '\0') return fallback;
+  char* end = nullptr;
+  const double value = std::strtod(raw, &end);
+  if (*end != '\0' || !std::isfinite(value) || value < 0.0) {
+    std::fprintf(stderr, "error: %s='%s' is not a finite number >= 0\n",
+                 name, raw);
+    std::exit(2);
+  }
+  return value;
+}
+
+/// Workload multiplier from the WEBEVO_SCALE environment variable
+/// (default 1.0; must be > 0).
 inline double ScaleFromEnv() {
-  const char* raw = std::getenv("WEBEVO_SCALE");
-  if (raw == nullptr) return 1.0;
-  double scale = std::atof(raw);
-  return scale > 0.0 ? scale : 1.0;
+  const double scale = EnvOr("WEBEVO_SCALE", 1.0);
+  if (scale <= 0.0) {
+    std::fprintf(stderr, "error: WEBEVO_SCALE must be > 0\n");
+    std::exit(2);
+  }
+  return scale;
 }
 
 /// The study population used by the measurement benches: the paper's

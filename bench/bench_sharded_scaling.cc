@@ -11,17 +11,13 @@
 // showing the previously serial plan and measure phases shrinking as
 // shards grow.
 // --json <path> writes the whole table (throughput, phase breakdown,
-// pipeline overlap ledger, capacity-lease ledger, determinism verdict)
-// as machine-readable JSON, so CI can archive the perf trajectory per
-// commit.
+// capacity-lease ledger, determinism verdict) as machine-readable
+// JSON, so CI can archive the perf trajectory per commit.
 //
-// Every shard count runs twice — staged pipeline on (the default loop:
-// speculative plan extraction and the deferred measure fused into the
-// fetch workers) and off (the strictly sequential loop) — and the two
-// runs must be the same simulation bit for bit.
 // Env:
 //   WEBEVO_SCALE            workload multiplier (default 1.0)
-//   WEBEVO_BODY_BYTES       synthetic page body size (default 16384)
+//   WEBEVO_BODY_BYTES       synthetic page body size (default 16384;
+//                           0 switches the filler off)
 //   WEBEVO_DAYS             virtual days to crawl (default 20)
 //   WEBEVO_REQUIRE_SPEEDUP  if set, exit non-zero unless the best
 //                           multi-shard speedup reaches this factor
@@ -31,14 +27,9 @@
 //                           fraction at N = 4 (falls back to the
 //                           largest multi-shard run when 4 was not
 //                           requested)
-//   WEBEVO_REQUIRE_PIPELINE_SPEEDUP  if set, exit non-zero unless
-//                           pipelined wall-clock beats non-pipelined
-//                           by at least this factor at N = 4 (same
-//                           fallback; the phase table is printed on
-//                           failure)
 //
-// Exits non-zero on any cross-shard-count or pipeline-on/off
-// determinism mismatch, which is what the CI smoke check
+// Exits non-zero on any cross-shard-count determinism mismatch, which
+// is what the CI smoke check
 // (`bench_sharded_scaling 1 4`) relies on.
 
 #include <chrono>
@@ -59,13 +50,6 @@
 namespace {
 
 using namespace webevo;
-
-double EnvOr(const char* name, double fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return fallback;
-  double value = std::atof(raw);
-  return value > 0.0 ? value : fallback;
-}
 
 struct RunResult {
   int shards = 0;
@@ -100,25 +84,10 @@ struct RunResult {
   uint64_t settle_evictions = 0;
   uint64_t web_fetches = 0;
   uint64_t pages_created = 0;
-  /// Pipeline overlap ledger (pipelined runs only). Overlap seconds are
-  /// wall-clock the fused stages spent inside fetch workers instead of
-  /// on the serial path; speculative-plan and lane counts mirror the
-  /// frontier's reconciliation. Lane reuse/invalidation counts are
-  /// shard-layout dependent (like lease revocations): reported, never
-  /// fingerprinted.
-  double measure_overlap_seconds = 0.0;
-  double plan_overlap_seconds = 0.0;
-  uint64_t pipelined_batches = 0;
-  uint64_t speculative_plans = 0;
-  uint64_t spec_lanes_reused = 0;
-  uint64_t spec_lanes_invalidated = 0;
-  /// The paired non-pipelined run at the same shard count.
-  double pipeline_off_wall_seconds = 0.0;
-  bool pipeline_off_identical = true;
 };
 
 RunResult RunOnce(int shards, double scale, double days,
-                  uint32_t body_bytes, bool pipeline) {
+                  uint32_t body_bytes) {
   simweb::WebConfig wc = simweb::WebConfig().Scaled(0.15 * scale);
   wc.seed = 19990217;
   wc.max_site_size = 250;
@@ -134,7 +103,6 @@ RunResult RunOnce(int shards, double scale, double days,
       static_cast<double>(config.collection_capacity) / 2.0;
   config.freshness_sample_interval_days = 1.0;
   config.crawl_parallelism = shards;
-  config.pipeline = pipeline;
   config.crawl.per_site_delay_days = 1e-4;  // the paper's ~10 seconds
   config.crawl.enforce_politeness = true;
 
@@ -178,14 +146,6 @@ RunResult RunOnce(int shards, double scale, double days,
       static_cast<uint64_t>(es.settle_evictions.sum() + 0.5);
   r.web_fetches = web.fetch_count();
   r.pages_created = web.OracleTotalPagesCreated();
-  r.measure_overlap_seconds = es.measure_overlap_seconds.sum();
-  r.plan_overlap_seconds = es.plan_overlap_seconds.sum();
-  r.pipelined_batches = es.pipelined_batches;
-  r.speculative_plans = es.speculative_plans;
-  r.spec_lanes_reused =
-      static_cast<uint64_t>(es.spec_lanes_reused.sum() + 0.5);
-  r.spec_lanes_invalidated =
-      static_cast<uint64_t>(es.spec_lanes_invalidated.sum() + 0.5);
   return r;
 }
 
@@ -238,9 +198,9 @@ int main(int argc, char** argv) {
   if (shard_counts.empty()) shard_counts = {1, 2, 4, 8};
 
   const double scale = bench::ScaleFromEnv();
-  const double days = EnvOr("WEBEVO_DAYS", 20.0);
+  const double days = bench::EnvOr("WEBEVO_DAYS", 20.0);
   const auto body_bytes =
-      static_cast<uint32_t>(EnvOr("WEBEVO_BODY_BYTES", 16384.0));
+      static_cast<uint32_t>(bench::EnvOr("WEBEVO_BODY_BYTES", 16384.0));
   std::printf("scale %.2f, %.0f virtual days, %u-byte bodies, %u cores\n\n",
               scale, days, body_bytes,
               std::thread::hardware_concurrency());
@@ -248,24 +208,16 @@ int main(int argc, char** argv) {
   std::vector<RunResult> results;
   results.reserve(shard_counts.size());
   for (int shards : shard_counts) {
-    // Pipelined run (the default loop) is the headline result; the
-    // paired non-pipelined run provides the on/off columns and the
-    // on-vs-off determinism check.
-    RunResult on = RunOnce(shards, scale, days, body_bytes, true);
-    RunResult off = RunOnce(shards, scale, days, body_bytes, false);
-    on.pipeline_off_wall_seconds = off.wall_seconds;
-    on.pipeline_off_identical = SameSimulation(on, off);
-    results.push_back(on);
+    results.push_back(RunOnce(shards, scale, days, body_bytes));
   }
 
   const RunResult& base = results.front();
   TablePrinter table({"shards", "crawled pages", "wall s", "pages/s",
-                      "speedup", "pipe-off s", "pipe gain",
-                      "identical sim"});
+                      "speedup", "identical sim"});
   bool all_identical = true;
   double best_speedup = 1.0;
   for (const RunResult& r : results) {
-    bool identical = SameSimulation(base, r) && r.pipeline_off_identical;
+    bool identical = SameSimulation(base, r);
     all_identical = all_identical && identical;
     double pages_per_sec =
         r.wall_seconds > 0.0 ? static_cast<double>(r.crawls) / r.wall_seconds
@@ -277,16 +229,11 @@ int main(int argc, char** argv) {
     double speedup = base_rate > 0.0 ? pages_per_sec / base_rate : 1.0;
     if (r.shards != base.shards) best_speedup = std::max(best_speedup,
                                                          speedup);
-    double pipe_gain = r.wall_seconds > 0.0
-                           ? r.pipeline_off_wall_seconds / r.wall_seconds
-                           : 1.0;
     table.AddRow({std::to_string(r.shards),
                   TablePrinter::Fmt(static_cast<int64_t>(r.crawls)),
                   TablePrinter::Fmt(r.wall_seconds),
                   TablePrinter::Fmt(pages_per_sec, 0),
                   TablePrinter::Fmt(speedup, 2),
-                  TablePrinter::Fmt(r.pipeline_off_wall_seconds),
-                  TablePrinter::Fmt(pipe_gain, 2),
                   identical ? "yes" : "NO"});
   }
   std::printf("%s\n", table.ToString().c_str());
@@ -305,7 +252,6 @@ int main(int argc, char** argv) {
     std::printf("\nper-phase wall-clock totals (seconds over the run)\n");
     TablePrinter phases({"shards", "batches", "plan s", "fetch s",
                          "apply s", "barrier s", "measure s",
-                         "overlap s", "spec plans", "lanes r/i",
                          "retry rounds", "adm/rev/evict",
                          "serial ms/batch"});
     for (const RunResult& r : results) {
@@ -323,11 +269,6 @@ int main(int argc, char** argv) {
       std::string lease = std::to_string(r.lease_admissions) + "/" +
                           std::to_string(r.lease_revocations) + "/" +
                           std::to_string(r.settle_evictions);
-      // Fused-stage wall-clock absorbed by the fetch workers, and the
-      // frontier's speculative-plan ledger (lanes reused/invalidated
-      // at reconcile — shard-layout dependent, like revocations).
-      std::string lanes = std::to_string(r.spec_lanes_reused) + "/" +
-                          std::to_string(r.spec_lanes_invalidated);
       phases.AddRow({std::to_string(r.shards),
                      TablePrinter::Fmt(static_cast<int64_t>(r.batches)),
                      TablePrinter::Fmt(r.plan_seconds),
@@ -335,11 +276,6 @@ int main(int argc, char** argv) {
                      TablePrinter::Fmt(r.apply_seconds),
                      TablePrinter::Fmt(r.apply_barrier_seconds),
                      TablePrinter::Fmt(r.measure_seconds),
-                     TablePrinter::Fmt(r.measure_overlap_seconds +
-                                       r.plan_overlap_seconds),
-                     TablePrinter::Fmt(
-                         static_cast<int64_t>(r.speculative_plans)),
-                     lanes,
                      TablePrinter::Fmt(
                          static_cast<int64_t>(r.retry_rounds)),
                      lease, TablePrinter::Fmt(per_batch_ms, 3)});
@@ -387,17 +323,8 @@ int main(int argc, char** argv) {
          << ",\n     \"lease\": {\"admit_budget\": " << r.lease_budget
          << ", \"admissions\": " << r.lease_admissions
          << ", \"revocations\": " << r.lease_revocations
-         << ", \"settle_evictions\": " << r.settle_evictions << "}"
-         << ",\n     \"pipeline\": {\"off_wall_seconds\": "
-         << r.pipeline_off_wall_seconds << ", \"off_identical\": "
-         << (r.pipeline_off_identical ? "true" : "false")
-         << ", \"measure_overlap_s\": " << r.measure_overlap_seconds
-         << ", \"plan_overlap_s\": " << r.plan_overlap_seconds
-         << ",\n       \"pipelined_batches\": " << r.pipelined_batches
-         << ", \"speculative_plans\": " << r.speculative_plans
-         << ", \"spec_lanes_reused\": " << r.spec_lanes_reused
-         << ", \"spec_lanes_invalidated\": " << r.spec_lanes_invalidated
-         << "}}" << (i + 1 < results.size() ? "," : "") << "\n";
+         << ", \"settle_evictions\": " << r.settle_evictions << "}}"
+         << (i + 1 < results.size() ? "," : "") << "\n";
     }
     js << "  ],\n"
        << "  \"all_identical\": " << (all_identical ? "true" : "false")
@@ -421,23 +348,19 @@ int main(int argc, char** argv) {
   }
   std::printf("determinism: identical simulation at every shard count\n");
 
-  const char* require = std::getenv("WEBEVO_REQUIRE_SPEEDUP");
-  if (require != nullptr) {
-    double target = std::atof(require);
-    if (best_speedup + 1e-9 < target) {
-      std::fprintf(stderr, "FAIL: best speedup %.2f < required %.2f\n",
-                   best_speedup, target);
-      return 1;
-    }
+  const double target = bench::EnvOr("WEBEVO_REQUIRE_SPEEDUP", 0.0);
+  if (best_speedup + 1e-9 < target) {
+    std::fprintf(stderr, "FAIL: best speedup %.2f < required %.2f\n",
+                 best_speedup, target);
+    return 1;
   }
 
-  const char* share_req = std::getenv("WEBEVO_REQUIRE_BARRIER_SHARE");
-  if (share_req != nullptr) {
+  if (std::getenv("WEBEVO_REQUIRE_BARRIER_SHARE") != nullptr) {
     // Gate the serial fraction of apply: the lease protocol's whole
     // point is that the barrier is a settlement step, not a slot walk.
     // Evaluated at N = 4 (the hosted-runner core count); falls back to
     // the largest multi-shard run when 4 was not requested.
-    const double limit = std::atof(share_req);
+    const double limit = bench::EnvOr("WEBEVO_REQUIRE_BARRIER_SHARE", 0.0);
     const RunResult* gated = nullptr;
     for (const RunResult& r : results) {
       if (r.shards == 4) gated = &r;
@@ -467,44 +390,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  const char* pipe_req = std::getenv("WEBEVO_REQUIRE_PIPELINE_SPEEDUP");
-  if (pipe_req != nullptr) {
-    // Gate the pipeline's whole point: fusing the speculative plan
-    // extraction and the deferred measure into the fetch workers must
-    // make the pipelined run faster than the sequential loop (ratio
-    // off/on >= the env factor; 1 means strictly faster). Evaluated at
-    // N = 4, like the barrier gate, with the same fallback.
-    const double target = std::atof(pipe_req);
-    const RunResult* gated = nullptr;
-    for (const RunResult& r : results) {
-      if (r.shards == 4) gated = &r;
-    }
-    if (gated == nullptr) {
-      for (const RunResult& r : results) {
-        if (r.shards > 1 &&
-            (gated == nullptr || r.shards > gated->shards)) {
-          gated = &r;
-        }
-      }
-    }
-    if (gated != nullptr && gated->wall_seconds > 0.0) {
-      const double gain =
-          gated->pipeline_off_wall_seconds / gated->wall_seconds;
-      if (gain <= target - 1e-9 ||
-          gated->pipeline_off_wall_seconds <= gated->wall_seconds) {
-        if (!phase_breakdown) print_phase_table();
-        std::fprintf(stderr,
-                     "FAIL: pipeline gain %.3f (off %.4fs / on %.4fs) "
-                     "at N=%d below required %.3f\n"
-                     "(phase breakdown above)\n",
-                     gain, gated->pipeline_off_wall_seconds,
-                     gated->wall_seconds, gated->shards, target);
-        return 1;
-      }
-      std::printf("pipeline gain at N=%d: %.3f (required %.3f)\n",
-                  gated->shards, gain, target);
-    }
-  }
   if (std::thread::hardware_concurrency() < 2) {
     std::printf(
         "note: single-core host; wall-clock speedup needs >= 2 cores\n");

@@ -1,15 +1,25 @@
 #include "crawler/eval.h"
 
 #include <algorithm>
-#include <functional>
+#include <numeric>
 #include <vector>
 
 namespace webevo::crawler {
 namespace {
 
+// Per-site accumulator; doubles are summed in (slot, incarnation) order
+// within the site, so a site's partial is a pure function of its
+// entries regardless of threading.
+struct SitePartial {
+  std::size_t fresh = 0;
+  std::size_t dead = 0;
+  std::size_t stale_with_age = 0;
+  double stale_age_sum = 0.0;
+};
+
 void MeasureSite(simweb::SimulatedWeb& web,
                  std::vector<const CollectionEntry*>& entries, double t,
-                 StagedMeasure::SitePartial& partial) {
+                 SitePartial& partial) {
   std::sort(entries.begin(), entries.end(),
             [](const CollectionEntry* a, const CollectionEntry* b) {
               if (a->url.slot != b->url.slot) return a->url.slot < b->url.slot;
@@ -36,85 +46,51 @@ void MeasureSite(simweb::SimulatedWeb& web,
 // Works for Collection and ShardedCollection alike: only size() and an
 // (order-insensitive) ForEach are needed, since entries are re-bucketed
 // by site before any order-dependent accumulation happens. One code
-// path for the serial, pool-parallel, and pipelined (StagedMeasure
-// driven externally) measurements, so they can never drift apart.
+// path for the serial and pool-parallel measurements, so they can never
+// drift apart.
 template <typename CollectionT>
 CollectionQuality MeasureImpl(simweb::SimulatedWeb& web,
                               const CollectionT& collection, double t,
                               ThreadPool* threads, int num_shards) {
-  StagedMeasure staged;
-  staged.Prepare(web, collection, t, num_shards);
   const auto shards = static_cast<std::size_t>(std::max(1, num_shards));
-  if (threads != nullptr && shards > 1) {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(shards);
-    for (std::size_t shard = 0; shard < shards; ++shard) {
-      tasks.push_back([&staged, shard] { staged.RunShard(shard); });
-    }
-    threads->RunAndWait(std::move(tasks));
-  }
-  return staged.Finish();
-}
-
-}  // namespace
-
-template <typename CollectionT>
-void StagedMeasure::PrepareImpl(simweb::SimulatedWeb& web,
-                                const CollectionT& collection, double t,
-                                int num_shards) {
-  web_ = &web;
-  t_ = t;
-  shards_ = static_cast<std::size_t>(std::max(1, num_shards));
-  size_ = collection.size();
-  foreign_ = 0;
-  prepared_ = true;
-  by_site_.assign(web.num_sites(), {});
-  partials_.assign(by_site_.size(), SitePartial{});
-  shard_done_.assign(shards_, 0);
   // Bucket entries by site (cheap pointer shuffling; the oracle walks
-  // in RunShard are the expensive part).
+  // are the expensive part).
+  std::vector<std::vector<const CollectionEntry*>> by_site(web.num_sites());
+  std::size_t foreign = 0;  // entries from outside this web: never fresh
   collection.ForEach([&](const CollectionEntry& entry) {
-    if (entry.url.site < by_site_.size()) {
-      by_site_[entry.url.site].push_back(&entry);
+    if (entry.url.site < by_site.size()) {
+      by_site[entry.url.site].push_back(&entry);
     } else {
-      ++foreign_;
+      ++foreign;
     }
   });
-}
 
-void StagedMeasure::Prepare(simweb::SimulatedWeb& web,
-                            const Collection& collection, double t,
-                            int num_shards) {
-  PrepareImpl(web, collection, t, num_shards);
-}
-
-void StagedMeasure::Prepare(simweb::SimulatedWeb& web,
-                            const ShardedCollection& collection, double t,
-                            int num_shards) {
-  PrepareImpl(web, collection, t, num_shards);
-}
-
-void StagedMeasure::RunShard(std::size_t shard) {
-  if (!prepared_ || shard >= shards_ || shard_done_[shard]) return;
-  shard_done_[shard] = 1;
-  for (std::size_t site = shard; site < by_site_.size(); site += shards_) {
-    if (by_site_[site].empty()) continue;
-    MeasureSite(*web_, by_site_[site], t_, partials_[site]);
+  // Shard s walks the sites ≡ s (mod shards) — the engine's ownership,
+  // so each site's lazy page evolution is advanced by exactly one
+  // worker — and writes only those sites' partials.
+  std::vector<SitePartial> partials(by_site.size());
+  auto walk_shard = [&](std::size_t shard) {
+    for (std::size_t site = shard; site < by_site.size(); site += shards) {
+      if (by_site[site].empty()) continue;
+      MeasureSite(web, by_site[site], t, partials[site]);
+    }
+  };
+  std::vector<std::size_t> all_shards(shards);
+  std::iota(all_shards.begin(), all_shards.end(), std::size_t{0});
+  if (threads != nullptr) {
+    threads->RunForIndices(all_shards, walk_shard);
+  } else {
+    for (std::size_t shard : all_shards) walk_shard(shard);
   }
-}
-
-CollectionQuality StagedMeasure::Finish() {
-  CollectionQuality q;
-  q.size = size_;
-  if (!prepared_) return q;
-  for (std::size_t shard = 0; shard < shards_; ++shard) RunShard(shard);
 
   // Canonical reduction: ascending site order, independent of the
   // site -> shard mapping, so every shard count sums in the same order.
+  CollectionQuality q;
+  q.size = collection.size();
   double stale_age_sum = 0.0;
   std::size_t stale_with_age = 0;
-  q.dead += foreign_;
-  for (const SitePartial& partial : partials_) {
+  q.dead += foreign;
+  for (const SitePartial& partial : partials) {
     q.fresh += partial.fresh;
     q.dead += partial.dead;
     stale_age_sum += partial.stale_age_sum;
@@ -127,13 +103,10 @@ CollectionQuality StagedMeasure::Finish() {
     q.mean_stale_age_days =
         stale_age_sum / static_cast<double>(stale_with_age);
   }
-  prepared_ = false;
-  by_site_.clear();
-  partials_.clear();
-  shard_done_.clear();
-  web_ = nullptr;
   return q;
 }
+
+}  // namespace
 
 CollectionQuality MeasureCollection(simweb::SimulatedWeb& web,
                                     const Collection& collection,

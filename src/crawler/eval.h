@@ -2,8 +2,6 @@
 #define WEBEVO_CRAWLER_EVAL_H_
 
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
 #include "crawler/collection.h"
 #include "crawler/sharded_collection.h"
@@ -54,70 +52,6 @@ CollectionQuality MeasureCollectionSharded(simweb::SimulatedWeb& web,
 CollectionQuality MeasureCollectionSharded(
     simweb::SimulatedWeb& web, const ShardedCollection& collection,
     double t, ThreadPool& threads, int num_shards);
-
-/// The measurement above split into pipeline stages, so the pipelined
-/// crawl loop can fuse the per-shard oracle walks into the engine's
-/// fetch workers (batch B-1's freshness evaluation riding batch B's
-/// pool dispatch) instead of paying a separate parallel pass:
-///
-///   1. Prepare (serial): bucket entry pointers by site. Entry
-///      pointers must stay stable until Finish — i.e. the collection
-///      must not be mutated, which holds between a batch's plan and
-///      its apply barrier.
-///   2. RunShard(s) (one call per shard, concurrently from the worker
-///      that owns shard s): oracle-walks sites ≡ s (mod num_shards).
-///      Because a site's measure runs *before* that same worker's
-///      fetches, every page's observation times stay non-decreasing
-///      and partitioned exactly as in the unfused serial order.
-///   3. Finish (serial): canonical ascending-site reduction.
-///
-/// The three stages compute bit-identically to MeasureCollectionSharded
-/// — they *are* its implementation.
-class StagedMeasure {
- public:
-  /// Per-site accumulator; doubles are summed in (slot, incarnation)
-  /// order within the site, so a site's partial is a pure function of
-  /// its entries regardless of threading.
-  struct SitePartial {
-    std::size_t fresh = 0;
-    std::size_t dead = 0;
-    std::size_t stale_with_age = 0;
-    double stale_age_sum = 0.0;
-  };
-
-  void Prepare(simweb::SimulatedWeb& web, const Collection& collection,
-               double t, int num_shards);
-  void Prepare(simweb::SimulatedWeb& web,
-               const ShardedCollection& collection, double t,
-               int num_shards);
-
-  /// Walks shard `shard`'s sites. Touches only partials_[site] slots of
-  /// its own sites and per-page web state of its own sites, so distinct
-  /// shards may run concurrently.
-  void RunShard(std::size_t shard);
-
-  /// Runs every not-yet-run shard serially, reduces, and resets to the
-  /// unprepared state.
-  CollectionQuality Finish();
-
-  bool prepared() const { return prepared_; }
-  int num_shards() const { return static_cast<int>(shards_); }
-
- private:
-  template <typename CollectionT>
-  void PrepareImpl(simweb::SimulatedWeb& web, const CollectionT& collection,
-                   double t, int num_shards);
-
-  simweb::SimulatedWeb* web_ = nullptr;
-  double t_ = 0.0;
-  std::size_t shards_ = 1;
-  std::size_t size_ = 0;
-  std::size_t foreign_ = 0;  // entries from outside this web: never fresh
-  bool prepared_ = false;
-  std::vector<std::vector<const CollectionEntry*>> by_site_;
-  std::vector<SitePartial> partials_;
-  std::vector<uint8_t> shard_done_;
-};
 
 }  // namespace webevo::crawler
 

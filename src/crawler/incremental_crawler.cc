@@ -856,33 +856,8 @@ Status IncrementalCrawler::RunUntil(double until) {
   const double step = 1.0 / config_.crawl_rate_pages_per_day;
   while (now_ < until) {
     // Housekeeping due at the current time. All next_* end up > now_.
-    // A due freshness sample is *deferred* on the pipelined path: the
-    // serial bucket step runs here (the collection is exactly batch
-    // B-1's applied state), the oracle walks fuse into this batch's
-    // fetch workers, and the tracker sample settles at the apply
-    // barrier — bit-identical to sampling inline, because each page's
-    // oracle observation at the sample time still precedes that page's
-    // fetch (same site => same shard worker, walk before fetches).
-    // Except when refinement fires this same iteration: it can Remove
-    // collection entries between here and the batch, which would both
-    // dangle the bucketed entry pointers and change the measured set —
-    // the sample must see the pre-refinement collection, so it runs
-    // inline on those (rare) coinciding boundaries.
-    bool measure_deferred = false;
-    double sample_time = 0.0;
-    StagedMeasure staged_measure;
-    double measure_serial_seconds = 0.0;
     if (now_ >= next_sample_) {
-      if (config_.pipeline && now_ < next_refine_) {
-        auto measure_begin = std::chrono::steady_clock::now();
-        sample_time = now_;
-        staged_measure.Prepare(*web_, collection_, sample_time,
-                               engine_.num_shards());
-        measure_deferred = true;
-        measure_serial_seconds = SecondsSince(measure_begin);
-      } else {
-        tracker_.AddSample(now_, MeasureNow().freshness);
-      }
+      tracker_.AddSample(now_, MeasureNow().freshness);
       while (next_sample_ <= now_) {
         next_sample_ += config_.freshness_sample_interval_days;
       }
@@ -906,33 +881,19 @@ Status IncrementalCrawler::RunUntil(double until) {
     // scheduling fallbacks should see that truth instead of a count
     // captured at the previous batch's barrier. The plan step is
     // serial, so the freeze stays a pure function of history at every
-    // shard count. This is also the pipeline's page-count stage
-    // boundary: the frozen count feeds only the *apply* stage's
-    // scheduling (OnCrawled), never the speculative plan extraction,
-    // so freezing between apply(B-1) and apply(B) is exactly the
-    // sequential freeze point.
+    // shard count.
     update_module_.RefreshSchedulingPageCount();
 
     // Plan one engine batch of crawl slots, bounded by the next
     // housekeeping event so refinement/rebalance/sampling always see a
     // fully applied collection. The frontier extracts candidates
     // shard-parallel on the engine's worker pool and merges them
-    // deterministically into slot order — unless the previous batch's
-    // fetch stage already extracted them speculatively, in which case
-    // PlanSlots reconciles: lanes the apply barrier left intact are
-    // consumed as-is, flushed lanes re-extract, and the merge output
-    // is bit-identical either way.
+    // deterministically into slot order.
     const double horizon =
         std::min({next_sample_, next_refine_, next_rebalance_, until});
     auto plan_begin = std::chrono::steady_clock::now();
     ShardedFrontier::SlotPlan slot_plan =
         coll_urls_.PlanSlots(now_, horizon, step, &engine_.threads());
-    engine_.SetPipelineArmed(false);  // speculation consumed or drained
-    if (slot_plan.speculative) {
-      engine_.RecordSpeculativePlan(
-          static_cast<double>(slot_plan.spec_lanes_reused),
-          static_cast<double>(slot_plan.spec_lanes_invalidated));
-    }
     std::vector<PlannedFetch> plan;
     plan.reserve(slot_plan.slots.size());
     for (std::size_t i = 0; i < slot_plan.slots.size(); ++i) {
@@ -944,65 +905,9 @@ Status IncrementalCrawler::RunUntil(double until) {
     // divide like for like (idle planning passes are ~free anyway).
     if (!plan.empty()) engine_.RecordPlanSeconds(SecondsSince(plan_begin));
 
-    // Arm the next batch's speculative plan when the pipeline can see
-    // across the boundary: the batch clock after B is known now
-    // (slot_plan.end_time), and the next iteration's horizon is a pure
-    // function of the housekeeping timers at that clock — predicted
-    // here with the exact timer arithmetic the next iteration runs.
-    // The speculation survives arbitrary frontier mutation in between
-    // (restore-on-touch), so no housekeeping event needs to veto it;
-    // a prediction mismatch merely drains and replans sequentially.
-    ShardedCrawlEngine::StageHooks hooks;
-    bool use_hooks = false;
-    if (config_.pipeline && !plan.empty()) {
-      const double t_next = slot_plan.end_time;
-      if (t_next < until) {
-        double ns = next_sample_, nr = next_refine_, nb = next_rebalance_;
-        while (ns <= t_next) ns += config_.freshness_sample_interval_days;
-        while (nr <= t_next) nr += config_.refine_interval_days;
-        while (nb <= t_next) nb += config_.rebalance_interval_days;
-        const double next_horizon = std::min({ns, nr, nb, until});
-        if (t_next < next_horizon) {
-          coll_urls_.BeginSpeculation(t_next, next_horizon, step);
-          engine_.SetPipelineArmed(true);
-          hooks.after_fetch = [this](std::size_t s) {
-            coll_urls_.SpeculateShard(s);
-          };
-          use_hooks = true;
-        }
-      }
-      if (measure_deferred) {
-        hooks.before_fetch = [&staged_measure](std::size_t s) {
-          staged_measure.RunShard(s);
-        };
-        use_hooks = true;
-      }
-      if (use_hooks) {
-        hooks.shards.reserve(
-            static_cast<std::size_t>(engine_.num_shards()));
-        for (std::size_t s = 0;
-             s < static_cast<std::size_t>(engine_.num_shards()); ++s) {
-          hooks.shards.push_back(s);
-        }
-      }
-    }
-
     std::vector<double> retry_at;
     std::vector<StatusOr<simweb::FetchResult>> outcomes =
-        engine_.ExecuteBatch(plan, &retry_at,
-                             use_hooks ? &hooks : nullptr);
-
-    // Settle the deferred sample before the apply barrier: remaining
-    // shard walks run serially (all done already when the hooks rode a
-    // batch), the canonical ascending-site reduction is serial either
-    // way, and the tracker receives exactly the sample the inline path
-    // would have recorded.
-    if (measure_deferred) {
-      auto measure_begin = std::chrono::steady_clock::now();
-      tracker_.AddSample(sample_time, staged_measure.Finish().freshness);
-      engine_.RecordMeasureSeconds(measure_serial_seconds +
-                                   SecondsSince(measure_begin));
-    }
+        engine_.ExecuteBatch(plan, &retry_at);
 
     std::vector<PendingRetry> retries;
     ApplyBatch(plan, outcomes, retry_at, slot_plan.end_time, retries);
@@ -1077,15 +982,7 @@ Status IncrementalCrawler::RunUntil(double until) {
       }
       if (config_.checkpoint_every_batches > 0 &&
           batches_completed_ % config_.checkpoint_every_batches == 0) {
-        // Auto-checkpoint at the batch boundary. A mid-pipeline
-        // checkpoint first drains the speculation: flushed lanes
-        // restore the frontier to exactly the sequential post-batch
-        // state, so the checkpoint bytes are identical to the
-        // non-pipelined run's and a resume rejoins the uninterrupted
-        // trajectory (its first plan simply re-extracts what the
-        // drained speculation had pre-popped).
-        coll_urls_.DrainSpeculation();
-        engine_.SetPipelineArmed(false);
+        // Auto-checkpoint at the batch boundary.
         CrawlerCheckpointOptions options;
         options.include_web = config_.checkpoint_include_web;
         options.module_traffic = config_.checkpoint_module_traffic;
@@ -1099,10 +996,6 @@ Status IncrementalCrawler::RunUntil(double until) {
       }
     }
   }
-  // The loop never arms a speculation across `until` (the gate above),
-  // but drain defensively so callers always get a quiescent crawler.
-  coll_urls_.DrainSpeculation();
-  engine_.SetPipelineArmed(false);
   return Status::Ok();
 }
 

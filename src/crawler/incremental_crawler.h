@@ -64,18 +64,6 @@ struct IncrementalCrawlerConfig {
   /// threads.
   int crawl_parallelism = 1;
 
-  /// Staged batch pipeline (default on): overlap neighbouring batches
-  /// with batch B's fetch stage — batch B+1's slot plan is extracted
-  /// speculatively from the pre-apply frontier inside B's fetch
-  /// workers (reconciled at B's apply barrier via restore-on-touch
-  /// lanes), and a freshness sample due at B's start runs its oracle
-  /// walks fused into the same workers instead of a separate parallel
-  /// pass. Results are bit-identical either way, at every shard count
-  /// — the speculative plan reconciles to exactly what the sequential
-  /// loop would have planned; `false` keeps the strictly sequential
-  /// plan → fetch → apply → measure loop.
-  bool pipeline = true;
-
   /// Auto-checkpointing: when > 0, RunUntil writes a crash-consistent
   /// SaveCrawler checkpoint to `checkpoint_path` every this many
   /// completed engine batches (always at a batch boundary, where the

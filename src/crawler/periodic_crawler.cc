@@ -211,40 +211,12 @@ Status PeriodicCrawler::RunUntil(double until) {
                       config_.crawl_window_days;
   const double step = 1.0 / rate;
   while (now_ < until) {
-    // Pipelined measure stage: when a sample is due, bucket the
-    // current collection now (cheap, serial) but defer the oracle
-    // walks — if a batch follows this iteration they fuse into its
-    // fetch workers; every other path settles them inline below.
-    // The walk reads `current_collection()` through entry pointers, so
-    // settlement always happens before any ApplyOutcome mutation and
-    // before FinishCycle's swap.
-    StagedMeasure staged_measure;
-    double sample_time = 0.0;
-    double measure_serial_seconds = 0.0;
     if (now_ >= next_sample_) {
-      if (config_.pipeline) {
-        auto measure_begin = std::chrono::steady_clock::now();
-        sample_time = now_;
-        staged_measure.Prepare(*web_, current_collection(), sample_time,
-                               engine_.num_shards());
-        measure_serial_seconds = SecondsSince(measure_begin);
-      } else {
-        tracker_.AddSample(now_, MeasureNow().freshness);
-      }
+      tracker_.AddSample(now_, MeasureNow().freshness);
       while (next_sample_ <= now_) {
         next_sample_ += config_.freshness_sample_interval_days;
       }
     }
-    // Settles a deferred sample: runs whatever shards the fused hooks
-    // did not cover (all of them on the non-batch paths) and records
-    // the sample at its due time. No-op once settled.
-    auto settle_measure = [&] {
-      if (!staged_measure.prepared()) return;
-      auto finish_begin = std::chrono::steady_clock::now();
-      tracker_.AddSample(sample_time, staged_measure.Finish().freshness);
-      engine_.RecordMeasureSeconds(measure_serial_seconds +
-                                   SecondsSince(finish_begin));
-    };
 
     double cycle_end = cycle_start_ + config_.cycle_days;
     double window_end = cycle_start_ + config_.crawl_window_days;
@@ -252,7 +224,6 @@ Status PeriodicCrawler::RunUntil(double until) {
     if (cycle_active_) {
       if (stored_this_cycle_ >= config_.collection_capacity ||
           now_ >= window_end) {
-        settle_measure();
         FinishCycle();
       } else {
         // Plan one engine batch: one frontier URL per crawl slot, at
@@ -278,32 +249,10 @@ Status PeriodicCrawler::RunUntil(double until) {
           engine_.RecordPlanSeconds(SecondsSince(plan_begin));
         }
         if (plan.empty()) {
-          settle_measure();
           FinishCycle();  // frontier exhausted before the window closed
         } else {
-          ShardedCrawlEngine::StageHooks hooks;
-          bool use_hooks = false;
-          if (staged_measure.prepared()) {
-            // Fuse the deferred measure into the fetch stage: each
-            // shard walks its own sites' oracles before its fetches
-            // (same shard -> same worker, so per-page observation
-            // times stay non-decreasing), and shards with nothing to
-            // fetch still get a visit for their measure walk.
-            hooks.before_fetch = [&staged_measure](std::size_t s) {
-              staged_measure.RunShard(s);
-            };
-            hooks.shards.resize(static_cast<std::size_t>(shards));
-            for (std::size_t s = 0; s < hooks.shards.size(); ++s) {
-              hooks.shards[s] = s;
-            }
-            use_hooks = true;
-          }
           std::vector<StatusOr<simweb::FetchResult>> outcomes =
-              engine_.ExecuteBatch(plan, nullptr,
-                                   use_hooks ? &hooks : nullptr);
-          // Settle batch B-1's sample before the apply stage touches
-          // the collection the walk's entry pointers reference.
-          settle_measure();
+              engine_.ExecuteBatch(plan);
           auto apply_begin = std::chrono::steady_clock::now();
 
           // The shared capacity-lease admission pass: each shard
@@ -434,7 +383,6 @@ Status PeriodicCrawler::RunUntil(double until) {
       }
     }
     // Idle until the next cycle or housekeeping, whichever is earlier.
-    settle_measure();  // no batch this iteration: run the walk inline
     double target = std::min(next_sample_, cycle_end);
     if (now_ >= cycle_end) {
       StartCycle(cycle_end);

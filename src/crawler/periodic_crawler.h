@@ -53,17 +53,6 @@ struct PeriodicCrawlerConfig {
   /// fetches across that many worker threads.
   int crawl_parallelism = 1;
 
-  /// Staged batch pipeline: when true, a freshness sample that is due
-  /// at a batch boundary defers its oracle walk into the batch's fetch
-  /// workers (each shard measures its own sites *before* its fetches,
-  /// so every page's observation order is the sequential one) and
-  /// settles into the tracker right after the fetch stage — the
-  /// measure overlaps the fetch wall-clock instead of extending it.
-  /// The periodic planner is a deque pop, so unlike the incremental
-  /// crawler there is no speculative plan stage. `false` runs the
-  /// strictly sequential loop. Results are bit-identical either way.
-  bool pipeline = true;
-
   /// Auto-checkpointing, as on the incremental crawler: when > 0,
   /// RunUntil writes a SaveCrawler checkpoint to `checkpoint_path`
   /// every this many completed engine batches. 0 disables.
@@ -120,9 +109,7 @@ struct PeriodicCrawlerConfig {
 /// any optimistic overdraft in global stream order) and then stores
 /// pages and expands the frontier serially in slot order. The
 /// freshness *measure* at each sample fans out across the engine's
-/// worker pool — and with `config.pipeline` it fuses into the next
-/// batch's fetch workers (each shard walks its sites' oracles before
-/// its fetches), overlapping the measure with the fetch wall-clock.
+/// worker pool.
 /// Cycle seeding (StartCycle) is likewise sharded: per-shard
 /// collect/sort/seen-filter in parallel, then a canonical merge that
 /// reproduces the single globally sorted append.

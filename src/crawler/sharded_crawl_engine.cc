@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
 #include <optional>
 #include <utility>
 
@@ -34,12 +33,10 @@ bool ShardedCrawlEngine::PublishView(
 
 std::vector<StatusOr<simweb::FetchResult>> ShardedCrawlEngine::ExecuteBatch(
     const std::vector<PlannedFetch>& batch,
-    std::vector<double>* retry_at, const StageHooks* hooks) {
+    std::vector<double>* retry_at) {
   std::vector<StatusOr<simweb::FetchResult>> out;
   out.reserve(batch.size());
   if (retry_at != nullptr) retry_at->assign(batch.size(), 0.0);
-  // Hooks fuse into fetch workers, so they need a batch to ride on;
-  // callers run their stages inline when the plan came up empty.
   if (batch.empty()) return out;
   auto batch_begin = std::chrono::steady_clock::now();
   in_batch_ = true;
@@ -68,22 +65,14 @@ std::vector<StatusOr<simweb::FetchResult>> ShardedCrawlEngine::ExecuteBatch(
 
   web_->BeginConcurrentBatch(floor);
   std::vector<RunningStat> shard_latency(shards);
-  std::vector<double> measure_overlap(shards, -1.0);
-  std::vector<double> plan_overlap(shards, -1.0);
-  auto run_shard = [this, &batch, &staged, retry_at, hooks,
-                    &measure_overlap,
-                    &plan_overlap](std::size_t shard,
-                                   const std::vector<std::size_t>& indices,
-                                   RunningStat& latency) {
-    if (hooks != nullptr && hooks->before_fetch) {
-      // Fused stage: batch B-1's deferred measure walks this shard's
-      // sites *before* any of the shard's batch-B fetches, preserving
-      // each page's observation order.
-      auto hook_begin = std::chrono::steady_clock::now();
-      hooks->before_fetch(shard);
-      measure_overlap[shard] = SecondsSince(hook_begin);
-    }
-    for (std::size_t i : indices) {
+  std::vector<std::size_t> busy_shards;
+  for (std::size_t shard = 0; shard < shards; ++shard) {
+    if (!by_shard[shard].empty()) busy_shards.push_back(shard);
+  }
+  threads_.RunForIndices(busy_shards, [this, &batch, &by_shard, &staged,
+                                       &shard_latency,
+                                       retry_at](std::size_t shard) {
+    for (std::size_t i : by_shard[shard]) {
       auto begin = std::chrono::steady_clock::now();
       staged[i].emplace(pool_.Crawl(batch[i].url, batch[i].at));
       if (retry_at != nullptr) {
@@ -93,50 +82,9 @@ std::vector<StatusOr<simweb::FetchResult>> ShardedCrawlEngine::ExecuteBatch(
         // politeness state.
         (*retry_at)[i] = pool_.NextAllowedTime(batch[i].url.site);
       }
-      latency.Add(SecondsSince(begin));
+      shard_latency[shard].Add(SecondsSince(begin));
     }
-    if (hooks != nullptr && hooks->after_fetch) {
-      // Fused stage: batch B+1's speculative frontier extraction, once
-      // this shard is done fetching (the frontier is otherwise at rest
-      // during the fetch stage).
-      auto hook_begin = std::chrono::steady_clock::now();
-      hooks->after_fetch(shard);
-      plan_overlap[shard] = SecondsSince(hook_begin);
-    }
-  };
-  // Shards with planned fetches, plus hook-only shards the pipeline
-  // stages must visit (a shard with nothing to fetch can still owe a
-  // measure walk or hold due frontier entries).
-  std::vector<uint8_t> visit(shards, 0);
-  for (std::size_t shard = 0; shard < shards; ++shard) {
-    if (!by_shard[shard].empty()) visit[shard] = 1;
-  }
-  if (hooks != nullptr) {
-    for (std::size_t shard : hooks->shards) {
-      if (shard < shards) visit[shard] = 1;
-    }
-  }
-  std::vector<std::size_t> busy_shards;
-  for (std::size_t shard = 0; shard < shards; ++shard) {
-    if (visit[shard]) busy_shards.push_back(shard);
-  }
-  if (busy_shards.size() <= 1) {
-    // Single active shard (always true at parallelism 1): skip the
-    // thread handoff and run inline — same code path, same results.
-    for (std::size_t shard : busy_shards) {
-      run_shard(shard, by_shard[shard], shard_latency[shard]);
-    }
-  } else {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(busy_shards.size());
-    for (std::size_t shard : busy_shards) {
-      tasks.push_back([&run_shard, shard, indices = &by_shard[shard],
-                       latency = &shard_latency[shard]] {
-        run_shard(shard, *indices, *latency);
-      });
-    }
-    threads_.RunAndWait(std::move(tasks));
-  }
+  });
   web_->EndConcurrentBatch();
 
   // Barrier-point accounting, merged in shard index order (not
@@ -153,17 +101,6 @@ std::vector<StatusOr<simweb::FetchResult>> ShardedCrawlEngine::ExecuteBatch(
     stats_.fetch_latency_seconds.Merge(latency);
   }
   stats_.fetch_seconds.Add(SecondsSince(batch_begin));
-  if (hooks != nullptr) {
-    ++stats_.pipelined_batches;
-    for (std::size_t shard = 0; shard < shards; ++shard) {
-      if (measure_overlap[shard] >= 0.0) {
-        stats_.measure_overlap_seconds.Add(measure_overlap[shard]);
-      }
-      if (plan_overlap[shard] >= 0.0) {
-        stats_.plan_overlap_seconds.Add(plan_overlap[shard]);
-      }
-    }
-  }
 
   for (auto& staged_outcome : staged) {
     out.push_back(std::move(*staged_outcome));

@@ -177,6 +177,34 @@ TEST(CheckpointTest, PeriodicResumeIsBitIdentical) {
   }
 }
 
+// The periodic mid-run resume across shard counts: save at one N, load
+// at the other, and rejoin the uninterrupted N = 1 run byte for byte.
+TEST(CheckpointTest, PeriodicResumeAcrossShardCounts) {
+  simweb::SimulatedWeb web_a(SmallWeb());
+  PeriodicCrawler straight(&web_a, PerConfig(1));
+  ASSERT_TRUE(straight.Bootstrap(0.0).ok());
+  ASSERT_TRUE(straight.RunUntil(9.0).ok());
+  const std::string want = CheckpointBytes(straight);
+
+  for (int save_shards : {1, 8}) {
+    const int load_shards = save_shards == 8 ? 1 : 8;
+    simweb::SimulatedWeb web_b(SmallWeb());
+    PeriodicCrawler first_half(&web_b, PerConfig(save_shards));
+    ASSERT_TRUE(first_half.Bootstrap(0.0).ok());
+    ASSERT_TRUE(first_half.RunUntil(5.0).ok());
+    const std::string mid = CheckpointBytes(first_half);
+
+    simweb::SimulatedWeb web_c(SmallWeb());
+    PeriodicCrawler resumed(&web_c, PerConfig(load_shards));
+    std::istringstream mid_in(mid);
+    Status loaded = LoadCrawler(mid_in, &resumed);
+    ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+    ASSERT_TRUE(resumed.RunUntil(9.0).ok());
+    EXPECT_EQ(CheckpointBytes(resumed), want)
+        << "save at N=" << save_shards << ", load at N=" << load_shards;
+  }
+}
+
 TEST(CheckpointTest, RejectsKindMismatch) {
   simweb::SimulatedWeb web(SmallWeb());
   IncrementalCrawler crawler(&web, IncConfig(1));
@@ -291,6 +319,44 @@ TEST(CheckpointTest, AutoCheckpointCadenceAndResume) {
   std::remove((path + ".tmp").c_str());
 }
 
+// An auto-checkpoint written with batches still ahead of it resumes at
+// any shard count and rejoins the uninterrupted run byte for byte.
+TEST(CheckpointTest, AutoCheckpointResumeRejoinsAtAnyShardCount) {
+  const std::string path =
+      ::testing::TempDir() + "/webevo_auto_checkpoint_shards.ck";
+  std::remove(path.c_str());
+
+  simweb::SimulatedWeb web_a(SmallWeb());
+  IncrementalCrawler straight(&web_a, IncConfig(2));
+  ASSERT_TRUE(straight.Bootstrap(0.0).ok());
+  ASSERT_TRUE(straight.RunUntil(10.0).ok());
+  const std::string want = CheckpointBytes(straight);
+
+  IncrementalCrawlerConfig auto_config = IncConfig(2);
+  auto_config.checkpoint_every_batches = 3;
+  auto_config.checkpoint_path = path;
+  double saved_at = 0.0;
+  {
+    simweb::SimulatedWeb web(SmallWeb());
+    IncrementalCrawler saver(&web, auto_config);
+    ASSERT_TRUE(saver.Bootstrap(0.0).ok());
+    ASSERT_TRUE(saver.RunUntil(6.0).ok());
+    saved_at = saver.now();
+  }
+
+  for (int load_shards : {1, 8}) {
+    simweb::SimulatedWeb web(SmallWeb());
+    IncrementalCrawler resumed(&web, IncConfig(load_shards));
+    Status loaded = LoadCrawlerFromFile(path, &resumed);
+    ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+    EXPECT_LE(resumed.now(), saved_at);
+    ASSERT_TRUE(resumed.RunUntil(10.0).ok());
+    EXPECT_EQ(CheckpointBytes(resumed), want)
+        << "load at N=" << load_shards;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(CheckpointTest, FileRoundTripIsAtomicallyPublished) {
   const std::string path = ::testing::TempDir() + "/webevo_checkpoint.ck";
   simweb::SimulatedWeb web(SmallWeb());
@@ -341,6 +407,35 @@ TEST(CheckpointTest, RetryRoundsAreRecordedAndDeterministic) {
   EXPECT_EQ(sharded.stats().in_batch_retries,
             crawler.stats().in_batch_retries);
   EXPECT_EQ(sharded.stats().crawls, crawler.stats().crawls);
+}
+
+// In-batch politeness retry rounds (extra engine sub-batches after the
+// planned batch) leave byte-identical state at every shard count.
+TEST(CheckpointTest, InBatchRetryRoundsAreByteIdenticalAcrossShardCounts) {
+  simweb::WebConfig wc = SmallWeb();
+  wc.uniform_lifespan_days = 1e7;  // no deaths: retries dominate
+  IncrementalCrawlerConfig config = IncConfig(1);
+  config.collection_capacity = 150;
+  config.crawl_rate_pages_per_day = 60.0;
+  config.freshness_sample_interval_days = 1.0;
+  config.rebalance_interval_days = 1.0;
+  config.refine_interval_days = 50.0;
+  config.crawl.per_site_delay_days = 0.05;
+
+  std::string want;
+  for (int shards : {1, 8}) {
+    config.crawl_parallelism = shards;
+    simweb::SimulatedWeb web(wc);
+    IncrementalCrawler crawler(&web, config);
+    ASSERT_TRUE(crawler.Bootstrap(0.0).ok());
+    ASSERT_TRUE(crawler.RunUntil(8.0).ok());
+    EXPECT_GT(crawler.stats().in_batch_retries, 0u) << "shards=" << shards;
+    if (shards == 1) {
+      want = CheckpointBytes(crawler);
+    } else {
+      EXPECT_EQ(CheckpointBytes(crawler), want) << "shards=" << shards;
+    }
+  }
 }
 
 }  // namespace

@@ -60,10 +60,6 @@ common flags:
                     without the defense layer)
   --parallelism=<n> engine shards / worker threads (default 1;
                     results are bit-identical at any value)
-  --pipeline=on|off staged batch pipeline: overlap batch B's fetches
-                    with batch B+1's speculative plan extraction and
-                    batch B-1's deferred freshness measure (default
-                    on; results are bit-identical either way)
 
 study flags:
   --window=<n>      page window per site      (default 300)
@@ -106,14 +102,6 @@ storage flags (crawl mode):
   --store-dir=<dir>         scratch directory for --store=paged page
                             files                     (default ".")
 )";
-
-bool PipelineFromFlags(const FlagParser& flags) {
-  const std::string v = flags.GetString("pipeline", "on");
-  if (v == "on") return true;
-  if (v == "off") return false;
-  std::printf("unknown --pipeline value '%s' (on|off)\n", v.c_str());
-  std::exit(2);
-}
 
 int ParallelismFromFlags(const FlagParser& flags) {
   const auto n = static_cast<int>(flags.GetInt("parallelism", 1));
@@ -263,7 +251,6 @@ int RunCrawl(const FlagParser& flags) {
         c.checkpoint_module_traffic = checkpoint_traffic;
         c.store = store_options;
         c.crawl_parallelism = ParallelismFromFlags(flags);
-        c.pipeline = PipelineFromFlags(flags);
         c.defense_enabled = defense;
         std::string policy = flags.GetString("policy", "optimal");
         c.update.policy = policy == "uniform"
@@ -291,7 +278,6 @@ int RunCrawl(const FlagParser& flags) {
     c.checkpoint_module_traffic = checkpoint_traffic;
     c.store = store_options;
     c.crawl_parallelism = ParallelismFromFlags(flags);
-    c.pipeline = PipelineFromFlags(flags);
     return c;
   }());
 
@@ -394,7 +380,6 @@ int RunCompare(const FlagParser& flags) {
   inc_config.crawl_rate_pages_per_day =
       static_cast<double>(capacity) / cycle;
   inc_config.crawl_parallelism = ParallelismFromFlags(flags);
-  inc_config.pipeline = PipelineFromFlags(flags);
   // Compare mode only wires the defense into the incremental side;
   // the periodic crawler has no defense layer to switch on.
   inc_config.defense_enabled = DefenseFromFlags(flags);
@@ -406,7 +391,6 @@ int RunCompare(const FlagParser& flags) {
   per_config.cycle_days = cycle;
   per_config.crawl_window_days = flags.GetDouble("window", 7.0);
   per_config.crawl_parallelism = ParallelismFromFlags(flags);
-  per_config.pipeline = PipelineFromFlags(flags);
   crawler::PeriodicCrawler per(&web_b, per_config);
 
   if (!inc.Bootstrap(0.0).ok() || !inc.RunUntil(days).ok() ||
@@ -443,7 +427,7 @@ int main(int argc, char** argv) {
        "crawler", "policy", "estimator", "cycle", "no-shadowing",
        "checkpoint", "checkpoint-every", "checkpoint-incremental",
        "checkpoint-traffic", "resume", "store", "store-dir",
-       "parallelism", "pipeline", "help"});
+       "parallelism", "help"});
   if (!valid.ok()) {
     std::printf("%s\n%s", valid.ToString().c_str(), kUsage);
     return 2;
