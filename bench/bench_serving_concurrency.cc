@@ -31,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "crawler/incremental_crawler.h"
 #include "serving/batch_view.h"
 #include "serving/view_registry.h"
@@ -41,13 +42,6 @@
 namespace {
 
 using namespace webevo;
-
-double EnvOr(const char* name, double fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return fallback;
-  double value = std::atof(raw);
-  return value > 0.0 ? value : fallback;
-}
 
 crawler::IncrementalCrawlerConfig CrawlConfig(int shards, double scale) {
   crawler::IncrementalCrawlerConfig config;
@@ -163,8 +157,8 @@ ReaderResult RunWithReaders(int readers, double scale, double days) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double scale = EnvOr("WEBEVO_SCALE", 1.0);
-  const double days = EnvOr("WEBEVO_DAYS", 12.0);
+  const double scale = bench::ScaleFromEnv();
+  const double days = bench::EnvOr("WEBEVO_DAYS", 12.0);
   std::vector<int> reader_counts;
   for (int i = 1; i < argc; ++i) {
     int n = std::atoi(argv[i]);
