@@ -382,13 +382,17 @@ Status PeriodicCrawler::RunUntil(double until) {
         }
       }
     }
-    // Idle until the next cycle or housekeeping, whichever is earlier.
+    // Idle until the next cycle or housekeeping, whichever is earlier,
+    // but at least a hair forward. Only the target is clamped to
+    // `until`, never the hair: a cycle that closes within 1e-12 days
+    // of `until` must leave the clock exactly where an uninterrupted
+    // run leaves it, or the next sample lands at another instant.
     double target = std::min(next_sample_, cycle_end);
     if (now_ >= cycle_end) {
       StartCycle(cycle_end);
       continue;
     }
-    now_ = std::min(until, std::max(target, now_ + 1e-12));
+    now_ = std::max(std::min(target, until), now_ + 1e-12);
   }
   return Status::Ok();
 }

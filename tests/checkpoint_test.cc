@@ -205,6 +205,30 @@ TEST(CheckpointTest, PeriodicResumeAcrossShardCounts) {
   }
 }
 
+// A periodic run cut into half-day RunUntil calls (the freshness-sample
+// grid) ends byte-identical to one call. At capacity 100 the second
+// cycle fills its collection ~5e-14 days before its window closes at
+// day 6, so the idle step's minimum nudge carries the uninterrupted
+// clock just past day 6; the call ending at day 6 must not stop short.
+TEST(CheckpointTest, PeriodicHalfDaySlicesMatchOneCall) {
+  PeriodicCrawlerConfig config = PerConfig(1);
+  config.collection_capacity = 100;
+
+  simweb::SimulatedWeb web_a(SmallWeb());
+  PeriodicCrawler straight(&web_a, config);
+  ASSERT_TRUE(straight.Bootstrap(0.0).ok());
+  ASSERT_TRUE(straight.RunUntil(9.0).ok());
+
+  simweb::SimulatedWeb web_b(SmallWeb());
+  PeriodicCrawler sliced(&web_b, config);
+  ASSERT_TRUE(sliced.Bootstrap(0.0).ok());
+  for (int k = 1; k <= 18; ++k) {
+    ASSERT_TRUE(sliced.RunUntil(0.5 * k).ok());
+  }
+  EXPECT_EQ(sliced.now(), straight.now());
+  EXPECT_EQ(CheckpointBytes(sliced), CheckpointBytes(straight));
+}
+
 TEST(CheckpointTest, RejectsKindMismatch) {
   simweb::SimulatedWeb web(SmallWeb());
   IncrementalCrawler crawler(&web, IncConfig(1));
