@@ -354,8 +354,9 @@ void UpdateModule::Rebalance() {
     int key = rate > 0.0
                   ? static_cast<int>(std::lround(8.0 * std::log2(rate)))
                   : std::numeric_limits<int>::min();
-    auto [it, inserted] = buckets.try_emplace(key);
-    if (inserted) it->second.rate = rate;
+    // A bucket weighs exactly its page count (RateGroup's own default
+    // weight is one page, so start the tally from zero).
+    auto it = buckets.try_emplace(key, freshness::RateGroup{rate, 0.0}).first;
     it->second.weight += 1.0;
   }
   mean_importance_ =

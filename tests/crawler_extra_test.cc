@@ -13,6 +13,7 @@
 #include "crawler/periodic_crawler.h"
 #include "crawler/ranking_module.h"
 #include "crawler/update_module.h"
+#include "freshness/revisit_optimizer.h"
 #include "simweb/simulated_web.h"
 #include "util/random.h"
 
@@ -343,6 +344,22 @@ TEST(UpdateModuleTest2, MultiplierExposedAfterOptimalRebalance) {
   for (int d = 1; d <= 10; ++d) module.OnCrawled(url, d, d % 2, false);
   module.Rebalance();
   EXPECT_GT(module.multiplier(), 0.0);
+
+  // Each rate bucket weighs exactly its page count: three unvisited
+  // pages share the default rate, the observed page has its own.
+  UpdateModule weighted(config);
+  for (uint32_t slot = 2; slot <= 4; ++slot) {
+    weighted.OnCrawled(Url{1, slot, 0}, 0.0, false, true);
+  }
+  weighted.OnCrawled(url, 0.0, false, true);
+  for (int d = 1; d <= 10; ++d) weighted.OnCrawled(url, d, d % 2, false);
+  weighted.Rebalance();
+  auto want = freshness::RevisitOptimizer::Optimize(
+      {freshness::RateGroup{1.0 / config.default_interval_days, 3.0},
+       freshness::RateGroup{weighted.EstimatedRate(url), 1.0}},
+      config.crawl_budget_pages_per_day * config.budget_utilization);
+  ASSERT_TRUE(want.ok());
+  EXPECT_DOUBLE_EQ(weighted.multiplier(), want->multiplier);
 }
 
 }  // namespace
