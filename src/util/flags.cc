@@ -17,13 +17,16 @@ FlagParser::FlagParser(int argc, const char* const* argv) {
     std::string body = arg.substr(2);
     auto eq = body.find('=');
     if (eq != std::string::npos) {
+      bare_.erase(body.substr(0, eq));
       flags_[body.substr(0, eq)] = body.substr(eq + 1);
       continue;
     }
     // `--name value` unless the next token is itself a flag.
     if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
+      bare_.erase(body);
       flags_[body] = argv[++i];
     } else {
+      bare_.insert(body);
       flags_[body] = "true";
     }
   }
@@ -81,6 +84,16 @@ Status FlagParser::Validate(const std::vector<std::string>& known) const {
   for (const auto& [name, value] : flags_) {
     if (std::find(known.begin(), known.end(), name) == known.end()) {
       return Status::InvalidArgument("unknown flag --" + name);
+    }
+  }
+  return Status::Ok();
+}
+
+Status FlagParser::RequireValues(const std::vector<std::string>& names) const {
+  for (const std::string& name : names) {
+    if (bare_.count(name) > 0) {
+      return Status::InvalidArgument("flag --" + name + " needs a value (--" +
+                                     name + "=<value>)");
     }
   }
   return Status::Ok();

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -38,8 +39,14 @@ class FlagParser {
   /// typos like --capasity).
   Status Validate(const std::vector<std::string>& known) const;
 
+  /// InvalidArgument naming the first of `names` given bare (`--name`
+  /// with no value): for flags that take a value, such as a path, the
+  /// bare form's implicit "true" is a usage error, not a value.
+  Status RequireValues(const std::vector<std::string>& names) const;
+
  private:
   std::map<std::string, std::string> flags_;
+  std::set<std::string> bare_;  // flags whose last occurrence was bare
   std::vector<std::string> positional_;
 };
 

@@ -81,6 +81,22 @@ TEST(FlagParserTest, ValidateCatchesUnknown) {
   EXPECT_TRUE(Parse({"--days=1"}).Validate({"days"}).ok());
 }
 
+TEST(FlagParserTest, RequireValuesRejectsBareValueFlags) {
+  // A trailing bare --deltas must not read a delta log named "true".
+  Status st = Parse({"inspect", "a.ckpt", "--deltas"}).RequireValues(
+      {"deltas"});
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("--deltas"), std::string::npos);
+  EXPECT_TRUE(
+      Parse({"--deltas=d.log", "--sections"}).RequireValues({"deltas"}).ok());
+  EXPECT_TRUE(Parse({"--deltas", "d.log"}).RequireValues({"deltas"}).ok());
+  // A later valued duplicate wins over an earlier bare one, and back.
+  EXPECT_TRUE(
+      Parse({"--deltas", "--deltas=d.log"}).RequireValues({"deltas"}).ok());
+  EXPECT_FALSE(
+      Parse({"--deltas=d.log", "--deltas"}).RequireValues({"deltas"}).ok());
+}
+
 TEST(FlagParserTest, NegativeNumbers) {
   FlagParser flags = Parse({"--offset=-5", "--temp=-1.5"});
   EXPECT_EQ(flags.GetInt("offset", 0), -5);

@@ -243,6 +243,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   Status valid = flags.Validate({"help", "deltas", "sections"});
+  if (valid.ok()) valid = flags.RequireValues({"deltas"});
   if (!valid.ok()) {
     std::fprintf(stderr, "error: %s\n%s", valid.ToString().c_str(),
                  kUsage);
