@@ -29,8 +29,7 @@
 //                           requested)
 //
 // Exits non-zero on any cross-shard-count determinism mismatch, which
-// is what the CI smoke check
-// (`bench_sharded_scaling 1 4`) relies on.
+// is what the CI smoke check (`bench_sharded_scaling 1 4`) relies on.
 
 #include <chrono>
 #include <cstdio>

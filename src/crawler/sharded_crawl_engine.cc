@@ -69,9 +69,7 @@ std::vector<StatusOr<simweb::FetchResult>> ShardedCrawlEngine::ExecuteBatch(
   for (std::size_t shard = 0; shard < shards; ++shard) {
     if (!by_shard[shard].empty()) busy_shards.push_back(shard);
   }
-  threads_.RunForIndices(busy_shards, [this, &batch, &by_shard, &staged,
-                                       &shard_latency,
-                                       retry_at](std::size_t shard) {
+  auto run_shard = [&](std::size_t shard) {
     for (std::size_t i : by_shard[shard]) {
       auto begin = std::chrono::steady_clock::now();
       staged[i].emplace(pool_.Crawl(batch[i].url, batch[i].at));
@@ -84,7 +82,8 @@ std::vector<StatusOr<simweb::FetchResult>> ShardedCrawlEngine::ExecuteBatch(
       }
       shard_latency[shard].Add(SecondsSince(begin));
     }
-  });
+  };
+  threads_.RunForIndices(busy_shards, run_shard);
   web_->EndConcurrentBatch();
 
   // Barrier-point accounting, merged in shard index order (not

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <utility>
 
 namespace webevo::crawler {
 namespace {

@@ -83,8 +83,8 @@ TEST(FlagParserTest, ValidateCatchesUnknown) {
 
 TEST(FlagParserTest, RequireValuesRejectsBareValueFlags) {
   // A trailing bare --deltas must not read a delta log named "true".
-  Status st = Parse({"inspect", "a.ckpt", "--deltas"}).RequireValues(
-      {"deltas"});
+  FlagParser bare = Parse({"inspect", "a.ckpt", "--deltas"});
+  Status st = bare.RequireValues({"deltas"});
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(st.message().find("--deltas"), std::string::npos);
   EXPECT_TRUE(
