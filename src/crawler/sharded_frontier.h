@@ -174,15 +174,6 @@ class ShardedFrontier {
   SlotPlan PlanSlots(double start, double horizon, double step,
                      ThreadPool* threads);
 
-  /// Snapshot/restore of the frontier's scheduled times (entries with
-  /// their global (when, seq) keys plus the global counters), in
-  /// crawler/snapshot.cc — what makes a restarted crawler pop in
-  /// exactly the order the checkpointed one would have.
-  friend Status SaveFrontier(const ShardedFrontier& frontier,
-                             std::ostream& out);
-  friend StatusOr<ShardedFrontier> LoadFrontier(std::istream& in,
-                                                int num_shards);
-
  private:
   /// Refreshes dirty shard heads and replays their tournament paths;
   /// returns the winning shard index, or shards_.size() when every

@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <fstream>
-#include <limits>
+#include <initializer_list>
+#include <memory>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -14,6 +15,7 @@
 #include "crawler/crawl_module_pool.h"
 #include "crawler/incremental_crawler.h"
 #include "crawler/periodic_crawler.h"
+#include "crawler/store_codecs.h"
 #include "estimator/change_estimator.h"
 #include "simweb/simulated_web.h"
 #include "storage/delta_log.h"
@@ -32,164 +34,83 @@ constexpr int kFormatVersion = 1;
 // the module-global probe RNG with per-site streams (`R` records) and
 // added the frozen scheduling page count to the `G` record.
 constexpr int kUpdateFormatVersion = 2;
-// Sanity bound on a flattened estimator-state vector. Integrity is only
-// verified at the trailer, so parsed counts must be range-checked
-// before they size an allocation.
-constexpr std::size_t kMaxEstimatorState = 1 << 20;
 
 constexpr simweb::UrlIdentityLess IdentityLess;
 
-std::string EntryLine(const CollectionEntry& e) {
-  std::ostringstream os;
-  os.precision(17);
-  os << "E " << e.url.site << ' ' << e.url.slot << ' '
-     << e.url.incarnation << ' ' << e.page << ' ' << e.version << ' '
-     << e.checksum.lo << ' ' << e.checksum.hi << ' ' << e.crawled_at
-     << ' ' << e.importance << ' ' << e.links.size();
-  for (const simweb::Url& link : e.links) {
-    os << ' ' << link.site << ' ' << link.slot << ' ' << link.incarnation;
+// `<tag> <url>` records: URL lists and tombstones.
+void WriteUrls(RecordWriter& w, const char* tag,
+               const std::vector<simweb::Url>& urls) {
+  for (const simweb::Url& url : urls) {
+    PutUrl(w.Begin(tag), url);
+    w.End();
   }
-  return os.str();
 }
 
-StatusOr<CollectionEntry> ParseEntry(const std::string& line) {
-  std::istringstream is(line);
-  std::string tag;
-  CollectionEntry e;
-  std::size_t nlinks = 0;
-  is >> tag >> e.url.site >> e.url.slot >> e.url.incarnation >> e.page >>
-      e.version >> e.checksum.lo >> e.checksum.hi >> e.crawled_at >>
-      e.importance >> nlinks;
-  if (is.fail() || tag != "E") {
-    return Status::InvalidArgument("malformed entry record");
-  }
-  e.links.reserve(nlinks);
-  for (std::size_t i = 0; i < nlinks; ++i) {
-    simweb::Url link;
-    is >> link.site >> link.slot >> link.incarnation;
-    if (is.fail()) {
-      return Status::InvalidArgument("malformed link list");
-    }
-    e.links.push_back(link);
-  }
-  Status end = ExpectLineEnd(is, "entry");
-  if (!end.ok()) return end;
-  return e;
+Status ReadUrls(RecordReader& r, std::size_t count, const char* tag,
+                std::vector<simweb::Url>* urls) {
+  return r.ReadRecords(count, tag, [&](RecordCursor& c) {
+    GetUrl(c, &urls->emplace_back());
+  });
 }
 
 // Canonical writer shared by the Collection and ShardedCollection
 // overloads: entries are emitted in ascending URL identity so equal
 // logical collections produce equal bytes at every shard count.
-Status WriteCollectionSnapshot(
-    std::size_t capacity,
-    std::vector<const CollectionEntry*> entries, std::ostream& out) {
+template <typename AnyCollection>
+std::string CollectionBytes(const AnyCollection& collection) {
+  std::vector<const CollectionEntry*> entries;
+  entries.reserve(collection.size());
+  collection.ForEach(
+      [&](const CollectionEntry& e) { entries.push_back(&e); });
   std::sort(entries.begin(), entries.end(),
             [](const CollectionEntry* a, const CollectionEntry* b) {
               return IdentityLess(a->url, b->url);
             });
-  TrailerWriter writer(out);
-  std::ostringstream header;
-  header << kCollectionMagic << ' ' << kFormatVersion << ' ' << capacity
-         << ' ' << entries.size();
-  writer.Line(header.str());
-  for (const CollectionEntry* e : entries) writer.Line(EntryLine(*e));
-  writer.Finish();
-  if (!out.good()) return Status::Internal("snapshot write failed");
-  return Status::Ok();
+  std::string out;
+  RecordWriter w(&out);
+  w.Begin(kCollectionMagic)
+      .Put(kFormatVersion, collection.capacity(), entries.size());
+  w.End();
+  for (const CollectionEntry* e : entries) {
+    PutEntry(w.Begin("E"), *e);
+    w.End();
+  }
+  w.Finish();
+  return out;
 }
 
-/// The parsed payload of a collection snapshot, verified against the
-/// integrity trailer before anything is handed back.
-struct CollectionPayload {
-  std::size_t capacity = 0;
+// Parses a collection snapshot into a Collection or (with
+// `num_shards` shards) a ShardedCollection.
+template <typename AnyCollection>
+StatusOr<AnyCollection> ReadCollection(std::istream& in, uint64_t sites,
+                                       int num_shards) {
+  RecordReader r(in, "collection snapshot", sites);
+  std::size_t capacity = 0, count = 0;
+  Status st = r.ReadHeader(kCollectionMagic, kFormatVersion, &capacity,
+                           &count);
   std::vector<CollectionEntry> entries;
-};
-
-StatusOr<CollectionPayload> ReadCollectionSnapshot(std::istream& in) {
-  TrailerReader reader(in);
-  auto header = reader.Next();
-  if (!header.ok()) return header.status();
-  std::istringstream hs(*header);
-  std::string magic;
-  int version = 0;
-  std::size_t count = 0;
-  CollectionPayload payload;
-  hs >> magic >> version >> payload.capacity >> count;
-  if (hs.fail() || magic != kCollectionMagic) {
-    return Status::InvalidArgument("not a collection snapshot");
+  if (st.ok()) {
+    st = r.ReadRecords(count, "E", [&](RecordCursor& c) {
+      GetEntry(c, &entries.emplace_back());
+    });
   }
-  if (version != kFormatVersion) {
-    return Status::InvalidArgument("unsupported snapshot version");
-  }
-  Status header_end = ExpectLineEnd(hs, "collection header");
-  if (!header_end.ok()) return header_end;
-  payload.entries.reserve(std::min<std::size_t>(count, 1 << 20));
-  for (std::size_t i = 0; i < count; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("snapshot entry count mismatch");
+  if (st.ok()) st = r.Finish();
+  if (!st.ok()) return st;
+  AnyCollection collection = [&] {
+    if constexpr (std::is_same_v<AnyCollection, Collection>) {
+      return Collection(capacity);
+    } else {
+      return ShardedCollection(capacity, num_shards);
     }
-    auto entry = ParseEntry(*line);
-    if (!entry.ok()) return entry.status();
-    payload.entries.push_back(std::move(entry).value());
-  }
-  // Consume and verify the trailer before handing anything back, and
-  // reject anything that follows it.
-  Status end = FinishFramedStream(reader, in, "collection snapshot");
-  if (!end.ok()) return end;
-  return payload;
-}
-
-}  // namespace
-
-Status SaveCollection(const Collection& collection, std::ostream& out) {
-  std::vector<const CollectionEntry*> entries;
-  entries.reserve(collection.size());
-  collection.ForEach(
-      [&](const CollectionEntry& e) { entries.push_back(&e); });
-  return WriteCollectionSnapshot(collection.capacity(),
-                                 std::move(entries), out);
-}
-
-Status SaveCollection(const ShardedCollection& collection,
-                      std::ostream& out) {
-  std::vector<const CollectionEntry*> entries;
-  entries.reserve(collection.size());
-  collection.ForEach(
-      [&](const CollectionEntry& e) { entries.push_back(&e); });
-  return WriteCollectionSnapshot(collection.capacity(),
-                                 std::move(entries), out);
-}
-
-StatusOr<Collection> LoadCollection(std::istream& in) {
-  auto payload = ReadCollectionSnapshot(in);
-  if (!payload.ok()) return payload.status();
-  Collection collection(payload->capacity);
-  for (CollectionEntry& e : payload->entries) {
-    Status stored = collection.Upsert(std::move(e));
-    if (!stored.ok()) return stored;
+  }();
+  for (CollectionEntry& e : entries) {
+    st = collection.Upsert(std::move(e));
+    if (!st.ok()) return st;
   }
   return collection;
 }
 
-StatusOr<ShardedCollection> LoadShardedCollection(std::istream& in,
-                                                  int num_shards) {
-  auto payload = ReadCollectionSnapshot(in);
-  if (!payload.ok()) return payload.status();
-  ShardedCollection collection(payload->capacity, num_shards);
-  for (CollectionEntry& e : payload->entries) {
-    Status stored = collection.Upsert(std::move(e));
-    if (!stored.ok()) return stored;
-  }
-  return collection;
-}
-
-Status SaveAllUrls(const AllUrls& all_urls, std::ostream& out) {
-  TrailerWriter writer(out);
-  std::ostringstream header;
-  header << kAllUrlsMagic << ' ' << kFormatVersion << ' '
-         << all_urls.size();
-  writer.Line(header.str());
+std::string AllUrlsBytes(const AllUrls& all_urls) {
   // Canonical record order regardless of internal shard layout.
   std::vector<std::pair<simweb::Url, const AllUrls::UrlInfo*>> records;
   records.reserve(all_urls.size());
@@ -201,363 +122,440 @@ Status SaveAllUrls(const AllUrls& all_urls, std::ostream& out) {
             [](const auto& a, const auto& b) {
               return IdentityLess(a.first, b.first);
             });
+  std::string out;
+  RecordWriter w(&out);
+  w.Begin(kAllUrlsMagic).Put(kFormatVersion, records.size());
+  w.End();
   for (const auto& [url, info] : records) {
-    std::ostringstream os;
-    os.precision(17);
-    os << "U " << url.site << ' ' << url.slot << ' ' << url.incarnation
-       << ' ' << info->first_seen << ' ' << info->in_links << ' '
-       << (info->dead ? 1 : 0);
-    writer.Line(os.str());
+    PutUrlInfo(PutUrl(w.Begin("U"), url), *info);
+    w.End();
   }
-  writer.Finish();
-  if (!out.good()) return Status::Internal("snapshot write failed");
-  return Status::Ok();
+  w.Finish();
+  return out;
 }
 
-StatusOr<AllUrls> LoadAllUrls(std::istream& in, int num_shards) {
-  TrailerReader reader(in);
-  auto header = reader.Next();
-  if (!header.ok()) return header.status();
-  std::istringstream hs(*header);
-  std::string magic;
-  int version = 0;
+StatusOr<AllUrls> ReadAllUrls(std::istream& in, int num_shards,
+                              uint64_t sites) {
+  RecordReader r(in, "allurls snapshot", sites);
   std::size_t count = 0;
-  hs >> magic >> version >> count;
-  if (hs.fail() || magic != kAllUrlsMagic) {
-    return Status::InvalidArgument("not an AllUrls snapshot");
-  }
-  if (version != kFormatVersion) {
-    return Status::InvalidArgument("unsupported snapshot version");
-  }
-  Status header_end = ExpectLineEnd(hs, "allurls header");
-  if (!header_end.ok()) return header_end;
+  Status st = r.ReadHeader(kAllUrlsMagic, kFormatVersion, &count);
   AllUrls all(num_shards);
-  for (std::size_t i = 0; i < count; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("snapshot entry count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
-    simweb::Url url;
-    double first_seen = 0.0;
-    uint64_t in_links = 0;
-    int dead = 0;
-    is >> tag >> url.site >> url.slot >> url.incarnation >> first_seen >>
-        in_links >> dead;
-    if (is.fail() || tag != "U") {
-      return Status::InvalidArgument("malformed url record");
-    }
-    Status record_end = ExpectLineEnd(is, "url");
-    if (!record_end.ok()) return record_end;
-    all.Add(url, first_seen);
-    for (uint64_t k = 0; k < in_links; ++k) all.NoteInLink(url, first_seen);
-    if (dead != 0) {
-      Status st = all.MarkDead(url);
-      if (!st.ok()) return st;
-    }
+  std::optional<simweb::Url> prev;
+  if (st.ok()) {
+    st = r.ReadRecords(count, "U", [&](RecordCursor& c) {
+      simweb::Url url;
+      AllUrls::UrlInfo info;
+      GetUrlInfo(GetUrl(c, &url), &info);
+      c.Check(!prev.has_value() || IdentityLess(*prev, url),
+              "urls not strictly ascending");
+      prev = url;
+      all.Restore(url, info);
+    });
   }
-  Status end = FinishFramedStream(reader, in, "allurls snapshot");
-  if (!end.ok()) return end;
+  if (st.ok()) st = r.Finish();
+  if (!st.ok()) return st;
   return all;
 }
 
-Status SaveUpdateModule(const UpdateModule& module, std::ostream& out) {
-  // Gather the per-site records (estimator aggregates and probe RNG
-  // streams) across shards in ascending site order — canonical bytes
-  // at every shard count.
-  std::vector<std::pair<uint32_t, const estimator::ChangeEstimator*>>
-      site_records;
-  for (const auto& shard : module.site_shards_) {
-    for (const auto& [site, est] : shard) {
-      site_records.emplace_back(site, est.get());
-    }
-  }
-  std::sort(site_records.begin(), site_records.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<std::pair<uint32_t, const Rng*>> rng_records;
-  for (const auto& shard : module.rng_shards_) {
-    for (const auto& [site, rng] : shard) {
-      rng_records.emplace_back(site, &rng);
-    }
-  }
-  std::sort(rng_records.begin(), rng_records.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+}  // namespace
 
-  TrailerWriter writer(out);
-  std::ostringstream header;
-  header << kUpdateModuleMagic << ' ' << kUpdateFormatVersion << ' '
-         << estimator::EstimatorKindName(module.config_.estimator_kind)
-         << ' ' << module.tracked_pages() << ' ' << site_records.size()
-         << ' ' << rng_records.size();
-  writer.Line(header.str());
+/// The UpdateModule's records, shared by the full stream (every record)
+/// and the delta stream (the dirty ones plus page tombstones): `G` the
+/// scheduling globals, `P` a page, `X` a page tombstone, `S` a site
+/// aggregate, `R` a site's probe RNG stream. Befriended by
+/// UpdateModule.
+struct UpdateModuleIo {
+  using PageState = UpdateModule::PageState;
 
-  {
-    std::ostringstream os;
-    os.precision(17);
-    os << "G " << module.multiplier_ << ' ' << module.total_rate_ << ' '
-       << module.mean_importance_ << ' ' << module.rebalance_count_
-       << ' ' << module.frozen_page_count_;
-    writer.Line(os.str());
-  }
+  /// The records one stream carries, each group in canonical order.
+  struct Records {
+    std::vector<std::pair<simweb::Url, const PageState*>> pages;
+    std::vector<simweb::Url> tombstones;
+    std::vector<std::pair<uint32_t, const estimator::ChangeEstimator*>>
+        sites;
+    std::vector<std::pair<uint32_t, const Rng*>> rngs;
+  };
 
-  // Page records sorted by identity, so equal modules produce equal
-  // bytes regardless of shard count and hash-map iteration order.
-  for (const auto& [url, state] : module.SortedPages()) {
-    std::ostringstream os;
-    os.precision(17);
-    std::vector<double> est_state;
-    if (state->estimator != nullptr) {
-      est_state = state->estimator->SaveState();
-    }
-    os << "P " << url.site << ' ' << url.slot << ' ' << url.incarnation
-       << ' ' << state->last_visit << ' ' << (state->visited ? 1 : 0)
-       << ' ' << state->importance << ' '
-       << (state->probing_abandonment ? 1 : 0) << ' ' << est_state.size();
-    for (double v : est_state) os << ' ' << v;
-    writer.Line(os.str());
-  }
-
-  for (const auto& [site, est] : site_records) {
-    std::ostringstream os;
-    os.precision(17);
-    std::vector<double> est_state = est->SaveState();
-    os << "S " << site << ' ' << est_state.size();
-    for (double v : est_state) os << ' ' << v;
-    writer.Line(os.str());
-  }
-
-  for (const auto& [site, rng] : rng_records) {
-    std::ostringstream os;
-    os << "R " << site;
-    for (uint64_t lane : rng->State()) os << ' ' << lane;
-    writer.Line(os.str());
-  }
-
-  writer.Finish();
-  if (!out.good()) return Status::Internal("snapshot write failed");
-  return Status::Ok();
-}
-
-Status LoadUpdateModule(std::istream& in, UpdateModule* module) {
-  TrailerReader reader(in);
-  auto header = reader.Next();
-  if (!header.ok()) return header.status();
-  std::istringstream hs(*header);
-  std::string magic, kind;
-  int version = 0;
-  std::size_t npages = 0, nsites = 0, nrngs = 0;
-  hs >> magic >> version >> kind >> npages >> nsites >> nrngs;
-  if (hs.fail() || magic != kUpdateModuleMagic) {
-    return Status::InvalidArgument("not an UpdateModule snapshot");
-  }
-  if (version != kUpdateFormatVersion) {
-    return Status::InvalidArgument("unsupported snapshot version");
-  }
-  Status header_end = ExpectLineEnd(hs, "update header");
-  if (!header_end.ok()) return header_end;
-  if (kind !=
-      estimator::EstimatorKindName(module->config_.estimator_kind)) {
-    return Status::InvalidArgument(
-        "snapshot estimator kind '" + kind +
-        "' does not match the module's configuration");
-  }
-
-  // Restore into a staging module and swap in only after the trailer
-  // verifies, so a corrupt snapshot never leaves `module` half-loaded.
-  UpdateModule staged(module->config_);
-
-  auto g_line = reader.Next();
-  if (!g_line.ok()) return Status::InvalidArgument("missing G record");
-  {
-    std::istringstream is(*g_line);
-    std::string tag;
+  /// Parsed records, staged until the whole stream has verified.
+  struct Staged {
     double multiplier = 0.0, total_rate = 0.0, mean_importance = 0.0;
     int64_t rebalance_count = 0;
-    std::size_t frozen_pages = 0;
-    is >> tag >> multiplier >> total_rate >> mean_importance >>
-        rebalance_count >> frozen_pages;
-    if (is.fail() || tag != "G") {
-      return Status::InvalidArgument("malformed G record");
+    std::size_t frozen_page_count = 0;
+    std::vector<std::pair<simweb::Url, PageState>> pages;
+    std::vector<simweb::Url> tombstones;
+    std::vector<
+        std::pair<uint32_t, std::unique_ptr<estimator::ChangeEstimator>>>
+        sites;
+    std::vector<std::pair<uint32_t, Rng>> rngs;
+  };
+
+  static Records All(const UpdateModule& module) {
+    Records records;
+    records.pages = module.SortedPages();
+    for (const auto& shard : module.site_shards_) {
+      for (const auto& [site, est] : shard) {
+        records.sites.emplace_back(site, est.get());
+      }
     }
-    Status record_end = ExpectLineEnd(is, "G");
-    if (!record_end.ok()) return record_end;
-    staged.multiplier_ = multiplier;
-    staged.total_rate_ = total_rate;
-    staged.mean_importance_ = mean_importance;
-    staged.rebalance_count_ = rebalance_count;
-    staged.frozen_page_count_ = frozen_pages;
+    for (const auto& shard : module.rng_shards_) {
+      for (const auto& [site, rng] : shard) {
+        records.rngs.emplace_back(site, &rng);
+      }
+    }
+    auto by_site = [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    };
+    std::sort(records.sites.begin(), records.sites.end(), by_site);
+    std::sort(records.rngs.begin(), records.rngs.end(), by_site);
+    return records;
   }
 
-  for (std::size_t i = 0; i < npages; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("snapshot page count mismatch");
+  static Records Dirty(const UpdateModule& module) {
+    std::set<simweb::Url, simweb::UrlIdentityLess> pages;
+    std::set<uint32_t> sites, rngs;
+    module.AppendDirty(&pages, &sites, &rngs);
+    Records records;
+    // Still tracked -> P record, gone (Forget) -> X tombstone. Site
+    // aggregates and probe streams are never erased, so a dirty key
+    // that vanished is simply skipped. The sets are canonical.
+    for (const simweb::Url& url : pages) {
+      const auto& shard = module.page_shards_[module.ShardOf(url.site)];
+      auto it = shard.find(url);
+      if (it == shard.end()) {
+        records.tombstones.push_back(url);
+      } else {
+        records.pages.emplace_back(url, &it->second);
+      }
     }
-    std::istringstream is(*line);
-    std::string tag;
-    simweb::Url url;
-    double last_visit = 0.0, importance = 0.0;
-    int visited = 0, probing = 0;
-    std::size_t nstate = 0;
-    is >> tag >> url.site >> url.slot >> url.incarnation >> last_visit >>
-        visited >> importance >> probing >> nstate;
-    if (is.fail() || tag != "P" || nstate > kMaxEstimatorState) {
-      return Status::InvalidArgument("malformed page record");
+    for (uint32_t site : sites) {
+      const auto& shard = module.site_shards_[module.ShardOf(site)];
+      auto it = shard.find(site);
+      if (it != shard.end()) records.sites.emplace_back(site, it->second.get());
     }
-    std::vector<double> est_state(nstate);
-    for (double& v : est_state) is >> v;
-    if (is.fail()) {
-      return Status::InvalidArgument("malformed page estimator state");
+    for (uint32_t site : rngs) {
+      const auto& shard = module.rng_shards_[module.ShardOf(site)];
+      auto it = shard.find(site);
+      if (it != shard.end()) records.rngs.emplace_back(site, &it->second);
     }
-    Status record_end = ExpectLineEnd(is, "page");
-    if (!record_end.ok()) return record_end;
-    UpdateModule::PageState state;
-    state.last_visit = last_visit;
-    state.visited = visited != 0;
-    state.importance = importance;
-    state.probing_abandonment = probing != 0;
-    if (!est_state.empty()) {
-      state.estimator =
-          estimator::MakeEstimator(staged.config_.estimator_kind);
-      Status st = state.estimator->RestoreState(est_state);
-      if (!st.ok()) return st;
-    }
-    staged.page_shards_[staged.ShardOf(url.site)][url] = std::move(state);
+    return records;
   }
-  for (std::size_t i = 0; i < nsites; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("snapshot site count mismatch");
+
+  static const char* KindName(const UpdateModule& module) {
+    return estimator::EstimatorKindName(module.config_.estimator_kind);
+  }
+
+  static void PutEstimatorState(RecordLine& line,
+                                const std::vector<double>& state) {
+    line.Put(state.size());
+    for (double v : state) line.Put(v);
+  }
+
+  static void WriteRecords(const UpdateModule& module,
+                           const Records& records, RecordWriter& w) {
+    w.Begin("G").Put(module.multiplier_, module.total_rate_,
+                     module.mean_importance_, module.rebalance_count_,
+                     module.frozen_page_count_);
+    w.End();
+    for (const auto& [url, state] : records.pages) {
+      std::vector<double> est_state;
+      if (state->estimator != nullptr) {
+        est_state = state->estimator->SaveState();
+      }
+      RecordLine& line = PutUrl(w.Begin("P"), url);
+      line.Put(state->last_visit, state->visited, state->importance,
+               state->probing_abandonment);
+      PutEstimatorState(line, est_state);
+      w.End();
     }
-    std::istringstream is(*line);
-    std::string tag;
-    uint32_t site = 0;
-    std::size_t nstate = 0;
-    is >> tag >> site >> nstate;
-    if (is.fail() || tag != "S" || nstate > kMaxEstimatorState) {
-      return Status::InvalidArgument("malformed site record");
+    WriteUrls(w, "X", records.tombstones);
+    for (const auto& [site, est] : records.sites) {
+      PutEstimatorState(w.Begin("S").Put(site), est->SaveState());
+      w.End();
     }
-    std::vector<double> est_state(nstate);
-    for (double& v : est_state) is >> v;
-    if (is.fail()) {
-      return Status::InvalidArgument("malformed site estimator state");
+    for (const auto& [site, rng] : records.rngs) {
+      w.Begin("R").Put(site, rng->State());
+      w.End();
     }
-    Status record_end = ExpectLineEnd(is, "site");
-    if (!record_end.ok()) return record_end;
-    auto estimator =
-        estimator::MakeEstimator(staged.config_.estimator_kind);
-    Status st = estimator->RestoreState(est_state);
+  }
+
+  static std::string FullBytes(const UpdateModule& module) {
+    const Records records = All(module);
+    std::string out;
+    RecordWriter w(&out);
+    w.Begin(kUpdateModuleMagic)
+        .Put(kUpdateFormatVersion, KindName(module), records.pages.size(),
+             records.sites.size(), records.rngs.size());
+    w.End();
+    WriteRecords(module, records, w);
+    w.Finish();
+    return out;
+  }
+
+  static std::string DeltaBytes(const UpdateModule& module);
+
+  // Reads a flattened estimator state that ends the line and restores
+  // it into a fresh estimator of the module's kind. A page record's
+  // state is empty when its estimator lives in the site aggregate.
+  static std::unique_ptr<estimator::ChangeEstimator> GetEstimator(
+      RecordCursor& c, const UpdateModule& module, bool may_be_empty) {
+    std::size_t n = 0;
+    c.Count(&n, 1);
+    std::vector<double> state(n);
+    for (double& v : state) c.Get(&v);
+    if (!c.ok() || (state.empty() && may_be_empty)) return nullptr;
+    auto est = estimator::MakeEstimator(module.config_.estimator_kind);
+    c.Fail(est->RestoreState(state));
+    return est;
+  }
+
+  /// Parses the records after the header; `kind` is the header's
+  /// estimator kind, which must match the module's configuration.
+  static Status ReadRecords(RecordReader& r, const UpdateModule& module,
+                            const std::string& kind, std::size_t npages,
+                            std::size_t ntombstones, std::size_t nsites,
+                            std::size_t nrngs, Staged* staged) {
+    if (kind != KindName(module)) {
+      return Status::InvalidArgument(
+          "snapshot estimator kind '" + kind +
+          "' does not match the module's configuration");
+    }
+    Status st = r.ReadRecords(1, "G", [&](RecordCursor& c) {
+      c.Get(&staged->multiplier, &staged->total_rate,
+            &staged->mean_importance, &staged->rebalance_count,
+            &staged->frozen_page_count);
+    });
+    if (st.ok()) {
+      st = r.ReadRecords(npages, "P", [&](RecordCursor& c) {
+        auto& [url, state] = staged->pages.emplace_back();
+        GetUrl(c, &url).Get(&state.last_visit, &state.visited,
+                            &state.importance, &state.probing_abandonment);
+        state.estimator = GetEstimator(c, module, true);
+      });
+    }
+    if (st.ok()) st = ReadUrls(r, ntombstones, "X", &staged->tombstones);
+    if (st.ok()) {
+      st = r.ReadRecords(nsites, "S", [&](RecordCursor& c) {
+        auto& [site, est] = staged->sites.emplace_back();
+        c.Site(&site);
+        est = GetEstimator(c, module, false);
+      });
+    }
+    if (st.ok()) {
+      st = r.ReadRecords(nrngs, "R", [&](RecordCursor& c) {
+        auto& [site, rng] = staged->rngs.emplace_back(0, Rng(0));
+        std::array<uint64_t, 4> lanes{};
+        c.Site(&site).Get(&lanes);
+        rng.SetState(lanes);
+      });
+    }
+    if (st.ok()) st = r.Finish();
+    return st;
+  }
+
+  /// Installs staged records: globals absolute, tombstones erased,
+  /// records upserted.
+  static void Commit(Staged& staged, UpdateModule* module) {
+    module->multiplier_ = staged.multiplier;
+    module->total_rate_ = staged.total_rate;
+    module->mean_importance_ = staged.mean_importance;
+    module->rebalance_count_ = staged.rebalance_count;
+    module->frozen_page_count_ = staged.frozen_page_count;
+    for (const simweb::Url& url : staged.tombstones) {
+      module->page_shards_[module->ShardOf(url.site)].erase(url);
+    }
+    for (auto& [url, state] : staged.pages) {
+      module->page_shards_[module->ShardOf(url.site)][url] =
+          std::move(state);
+    }
+    for (auto& [site, est] : staged.sites) {
+      module->site_shards_[module->ShardOf(site)][site] = std::move(est);
+    }
+    for (const auto& [site, rng] : staged.rngs) {
+      module->rng_shards_[module->ShardOf(site)].insert_or_assign(site,
+                                                                  rng);
+    }
+  }
+
+  static Status Load(std::istream& in, uint64_t sites,
+                     UpdateModule* module) {
+    RecordReader r(in, "update snapshot", sites);
+    std::string kind;
+    std::size_t npages = 0, nsites = 0, nrngs = 0;
+    Status st = r.ReadHeader(kUpdateModuleMagic, kUpdateFormatVersion,
+                             &kind, &npages, &nsites, &nrngs);
+    Staged staged;
+    if (st.ok()) {
+      st = ReadRecords(r, *module, kind, npages, 0, nsites, nrngs,
+                       &staged);
+    }
     if (!st.ok()) return st;
-    staged.site_shards_[staged.ShardOf(site)][site] =
-        std::move(estimator);
-  }
-  for (std::size_t i = 0; i < nrngs; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("snapshot rng count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
-    uint32_t site = 0;
-    std::array<uint64_t, 4> lanes{};
-    is >> tag >> site >> lanes[0] >> lanes[1] >> lanes[2] >> lanes[3];
-    if (is.fail() || tag != "R") {
-      return Status::InvalidArgument("malformed rng record");
-    }
-    Status record_end = ExpectLineEnd(is, "rng");
-    if (!record_end.ok()) return record_end;
-    Rng rng(0);
-    rng.SetState(lanes);
-    staged.rng_shards_[staged.ShardOf(site)].insert_or_assign(site, rng);
+    // Restore into a fresh module and swap it in, so a corrupt snapshot
+    // never leaves `module` half-loaded.
+    UpdateModule fresh(module->config_);
+    Commit(staged, &fresh);
+    *module = std::move(fresh);
+    return Status::Ok();
   }
 
-  Status end = FinishFramedStream(reader, in, "update snapshot");
-  if (!end.ok()) return end;
-  *module = std::move(staged);
+  static Status ApplyDelta(std::istream& in, uint64_t sites,
+                           UpdateModule* module);
+};
+
+namespace {
+
+constexpr const char* kUpdateDeltaMagic = "webevo-dupdate";
+
+}  // namespace
+
+std::string UpdateModuleIo::DeltaBytes(const UpdateModule& module) {
+  const Records records = Dirty(module);
+  std::string out;
+  RecordWriter w(&out);
+  w.Begin(kUpdateDeltaMagic)
+      .Put(kFormatVersion, KindName(module), records.pages.size(),
+           records.tombstones.size(), records.sites.size(),
+           records.rngs.size());
+  w.End();
+  WriteRecords(module, records, w);
+  w.Finish();
+  return out;
+}
+
+Status UpdateModuleIo::ApplyDelta(std::istream& in, uint64_t sites,
+                                  UpdateModule* module) {
+  RecordReader r(in, "update delta", sites);
+  std::string kind;
+  std::size_t npages = 0, ntombstones = 0, nsites = 0, nrngs = 0;
+  Status st = r.ReadHeader(kUpdateDeltaMagic, kFormatVersion, &kind,
+                           &npages, &ntombstones, &nsites, &nrngs);
+  Staged staged;
+  if (st.ok()) {
+    st = ReadRecords(r, *module, kind, npages, ntombstones, nsites, nrngs,
+                     &staged);
+  }
+  if (!st.ok()) return st;
+  Commit(staged, module);
   return Status::Ok();
 }
 
-Status SaveFrontier(const ShardedFrontier& frontier, std::ostream& out) {
-  // Drain a copy shard by shard: PopEntry yields each live entry with
+namespace {
+
+// `F <url> <when> <seq>`: one queued URL with its exact frontier key.
+void PutScheduled(RecordWriter& w, const simweb::Url& url, double when,
+                  uint64_t seq) {
+  PutUrl(w.Begin("F"), url).Put(when, seq);
+  w.End();
+}
+
+void GetScheduled(RecordCursor& c, CollUrls::Entry* e) {
+  GetUrl(c, &e->url).Get(&e->when, &e->seq);
+}
+
+std::string FrontierBytes(const ShardedFrontier& frontier) {
+  // Drain a copy of each shard: PopEntry yields each live entry with
   // its exact (when, seq) key; sorting by the globally unique seq gives
   // canonical bytes at every shard count.
-  ShardedFrontier scratch = frontier;
   std::vector<CollUrls::Entry> entries;
   entries.reserve(frontier.size());
-  for (CollUrls& shard : scratch.shards_) {
-    while (auto entry = shard.PopEntry()) {
-      entries.push_back(*entry);
-    }
+  for (int i = 0; i < frontier.num_shards(); ++i) {
+    CollUrls shard = frontier.shard(i);
+    while (auto entry = shard.PopEntry()) entries.push_back(*entry);
   }
   std::sort(entries.begin(), entries.end(),
             [](const CollUrls::Entry& a, const CollUrls::Entry& b) {
               return a.seq < b.seq;
             });
-
-  TrailerWriter writer(out);
-  std::ostringstream header;
-  header.precision(17);
-  header << kFrontierMagic << ' ' << kFormatVersion << ' '
-         << entries.size() << ' ' << frontier.next_seq_ << ' '
-         << frontier.front_when_;
-  writer.Line(header.str());
+  std::string out;
+  RecordWriter w(&out);
+  w.Begin(kFrontierMagic)
+      .Put(kFormatVersion, entries.size(), frontier.next_seq(),
+           frontier.front_when());
+  w.End();
   for (const CollUrls::Entry& e : entries) {
-    std::ostringstream os;
-    os.precision(17);
-    os << "F " << e.url.site << ' ' << e.url.slot << ' '
-       << e.url.incarnation << ' ' << e.when << ' ' << e.seq;
-    writer.Line(os.str());
+    PutScheduled(w, e.url, e.when, e.seq);
   }
-  writer.Finish();
-  if (!out.good()) return Status::Internal("snapshot write failed");
-  return Status::Ok();
+  w.Finish();
+  return out;
 }
 
-StatusOr<ShardedFrontier> LoadFrontier(std::istream& in, int num_shards) {
-  TrailerReader reader(in);
-  auto header = reader.Next();
-  if (!header.ok()) return header.status();
-  std::istringstream hs(*header);
-  std::string magic;
-  int version = 0;
+StatusOr<ShardedFrontier> ReadFrontier(std::istream& in, int num_shards,
+                                       uint64_t sites) {
+  RecordReader r(in, "frontier snapshot", sites);
   std::size_t count = 0;
   uint64_t next_seq = 0;
   double front_when = 0.0;
-  hs >> magic >> version >> count >> next_seq >> front_when;
-  if (hs.fail() || magic != kFrontierMagic) {
-    return Status::InvalidArgument("not a frontier snapshot");
-  }
-  if (version != kFormatVersion) {
-    return Status::InvalidArgument("unsupported snapshot version");
-  }
-  Status header_end = ExpectLineEnd(hs, "frontier header");
-  if (!header_end.ok()) return header_end;
+  Status st = r.ReadHeader(kFrontierMagic, kFormatVersion, &count,
+                           &next_seq, &front_when);
   ShardedFrontier frontier(num_shards);
-  for (std::size_t i = 0; i < count; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("snapshot entry count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
-    simweb::Url url;
-    double when = 0.0;
-    uint64_t seq = 0;
-    is >> tag >> url.site >> url.slot >> url.incarnation >> when >> seq;
-    if (is.fail() || tag != "F") {
-      return Status::InvalidArgument("malformed frontier record");
-    }
-    Status record_end = ExpectLineEnd(is, "frontier");
-    if (!record_end.ok()) return record_end;
-    frontier.shards_[frontier.ShardOf(url.site)].ScheduleAt(url, when,
-                                                            seq);
+  if (st.ok()) {
+    st = r.ReadRecords(count, "F", [&](RecordCursor& c) {
+      CollUrls::Entry e;
+      GetScheduled(c, &e);
+      frontier.ScheduleLane(frontier.ShardOf(e.url.site), e.url, e.when,
+                            e.seq);
+    });
   }
-  frontier.next_seq_ = next_seq;
-  frontier.front_when_ = front_when;
-  Status end = FinishFramedStream(reader, in, "frontier snapshot");
-  if (!end.ok()) return end;
+  if (st.ok()) st = r.Finish();
+  if (!st.ok()) return st;
+  frontier.RestoreCounters(next_seq, front_when);
   return frontier;
+}
+
+}  // namespace
+
+Status SaveCollection(const Collection& collection, std::ostream& out) {
+  return WriteBytes(CollectionBytes(collection), out);
+}
+
+Status SaveCollection(const ShardedCollection& collection,
+                      std::ostream& out) {
+  return WriteBytes(CollectionBytes(collection), out);
+}
+
+StatusOr<Collection> LoadCollection(std::istream& in) {
+  return ReadCollection<Collection>(in, kAnySite, 1);
+}
+
+StatusOr<ShardedCollection> LoadShardedCollection(std::istream& in,
+                                                  int num_shards) {
+  return ReadCollection<ShardedCollection>(in, kAnySite, num_shards);
+}
+
+Status SaveAllUrls(const AllUrls& all_urls, std::ostream& out) {
+  return WriteBytes(AllUrlsBytes(all_urls), out);
+}
+
+StatusOr<AllUrls> LoadAllUrls(std::istream& in, int num_shards) {
+  return ReadAllUrls(in, num_shards, kAnySite);
+}
+
+Status SaveUpdateModule(const UpdateModule& module, std::ostream& out) {
+  return WriteBytes(UpdateModuleIo::FullBytes(module), out);
+}
+
+Status LoadUpdateModule(std::istream& in, UpdateModule* module) {
+  return UpdateModuleIo::Load(in, kAnySite, module);
+}
+
+Status SaveUpdateModuleDelta(const UpdateModule& module,
+                             std::ostream& out) {
+  if (!module.dirty_tracking()) {
+    return Status::FailedPrecondition(
+        "update-module delta requires dirty tracking");
+  }
+  return WriteBytes(UpdateModuleIo::DeltaBytes(module), out);
+}
+
+Status ApplyUpdateModuleDelta(std::istream& in, UpdateModule* module) {
+  return UpdateModuleIo::ApplyDelta(in, kAnySite, module);
+}
+
+Status SaveFrontier(const ShardedFrontier& frontier, std::ostream& out) {
+  return WriteBytes(FrontierBytes(frontier), out);
+}
+
+StatusOr<ShardedFrontier> LoadFrontier(std::istream& in, int num_shards) {
+  return ReadFrontier(in, num_shards, kAnySite);
 }
 
 Status SaveCollectionToFile(const Collection& collection,
@@ -611,17 +609,14 @@ constexpr const char* kPerMetaMagic = "webevo-permeta";
 constexpr int kPerMetaVersion = 2;
 // The failure-pipeline section shared by both crawlers: per-site
 // circuit-breaker state (incremental only) and per-URL consecutive
-// failure / re-queue counts. Optional on load — checkpoints written
-// before the failure pipeline existed simply restart it from scratch.
+// failure / re-queue counts.
 constexpr const char* kFailureMagic = "webevo-failure";
 constexpr const char* kPoliteMagic = "webevo-polite";
 constexpr const char* kTrackerMagic = "webevo-tracker";
 constexpr const char* kUrlsMagic = "webevo-urls";
 // The adversarial-defense section (incremental crawler only): per-site
 // diminishing-returns state machines and the content-fingerprint
-// registry's canonical owners. Optional on load — checkpoints written
-// before the defense layer existed restart it (and the registry) from
-// scratch.
+// registry's canonical owners.
 constexpr const char* kDefenseMagic = "webevo-defense";
 // The optional pool-level traffic aggregate (absolute-day fetch
 // histogram + global counters); see CrawlModulePool::Traffic.
@@ -629,337 +624,178 @@ constexpr const char* kTrafficMagic = "webevo-traffic";
 // Delta-section magics of the incremental checkpoint mode.
 constexpr const char* kCollDeltaMagic = "webevo-dcoll";
 constexpr const char* kAllUrlsDeltaMagic = "webevo-dallurls";
-constexpr const char* kUpdateDeltaMagic = "webevo-dupdate";
 constexpr const char* kFrontierDeltaMagic = "webevo-dfrontier";
 // Range guard on the section table, parsed before its checksum covers
-// an allocation decision.
+// it.
 constexpr std::size_t kMaxSections = 16;
+// Range guard before sizing the traffic histogram off parsed days.
+constexpr std::size_t kMaxTrafficDays = 1 << 24;
 constexpr const char* kIncrementalKind = "incremental";
 constexpr const char* kPeriodicKind = "periodic";
 
-struct Section {
-  std::string name;
-  std::string bytes;
-};
+// The bound of every site field a loader reads: the web's site count
+// when the crawler has a web.
+uint64_t SiteLimit(const simweb::SimulatedWeb* web) {
+  return web == nullptr ? kAnySite : web->num_sites();
+}
 
 Status WriteContainer(const std::string& kind,
-                      const std::vector<Section>& sections,
+                      const std::vector<CheckpointSection>& sections,
                       std::ostream& out) {
-  TrailerWriter writer(out);
-  std::ostringstream header;
-  header << kCrawlerMagic << ' ' << kCrawlerFormatVersion << ' ' << kind
-         << ' ' << sections.size();
-  writer.Line(header.str());
-  for (const Section& s : sections) {
-    std::ostringstream line;
-    line << "S " << s.name << ' ' << s.bytes.size() << ' '
-         << Fnv1a64(s.bytes);
-    writer.Line(line.str());
+  std::string header;
+  RecordWriter w(&header);
+  w.Begin(kCrawlerMagic).Put(kCrawlerFormatVersion, kind, sections.size());
+  w.End();
+  for (const CheckpointSection& s : sections) {
+    w.Begin("S").Put(s.name, s.bytes.size(), Fnv1a64(s.bytes));
+    w.End();
   }
-  writer.Finish();
-  for (const Section& s : sections) {
-    out.write(s.bytes.data(),
-              static_cast<std::streamsize>(s.bytes.size()));
+  w.Finish();
+  out.write(header.data(), static_cast<std::streamsize>(header.size()));
+  for (const CheckpointSection& s : sections) {
+    out.write(s.bytes.data(), static_cast<std::streamsize>(s.bytes.size()));
   }
   if (!out.good()) return Status::Internal("checkpoint write failed");
   return Status::Ok();
 }
 
-/// Reads and fully verifies a container: the header trailer first, then
-/// each section against its table length and checksum — so truncation
-/// and corruption surface *before* any section is parsed — and finally
-/// end-of-stream (a checkpoint with trailing garbage was not written by
-/// us and must not be trusted).
-StatusOr<std::vector<Section>> ReadContainer(
+StatusOr<CheckpointContainer> ReadCrawlerContainer(
     std::istream& in, const std::string& expected_kind) {
-  TrailerReader reader(in);
-  auto header = reader.Next();
-  if (!header.ok()) return header.status();
-  std::istringstream hs(*header);
-  std::string magic, kind;
-  int version = 0;
-  std::size_t nsections = 0;
-  hs >> magic >> version >> kind >> nsections;
-  if (hs.fail() || magic != kCrawlerMagic) {
-    return Status::InvalidArgument("not a crawler checkpoint");
-  }
-  if (version != kCrawlerFormatVersion) {
-    return Status::InvalidArgument("unsupported checkpoint version");
-  }
-  Status header_end = ExpectLineEnd(hs, "checkpoint header");
-  if (!header_end.ok()) return header_end;
-  if (kind != expected_kind) {
+  auto container = ReadCheckpointContainer(in);
+  if (!container.ok()) return container.status();
+  if (container->kind != expected_kind) {
     return Status::InvalidArgument(
-        "checkpoint kind '" + kind + "' does not match this crawler ('" +
-        expected_kind + "')");
+        "checkpoint kind '" + container->kind +
+        "' does not match this crawler ('" + expected_kind + "')");
   }
-  if (nsections > kMaxSections) {
-    return Status::InvalidArgument("implausible checkpoint section count");
-  }
-  struct TableEntry {
-    std::string name;
-    std::size_t length = 0;
-    uint64_t hash = 0;
-  };
-  std::vector<TableEntry> table;
-  table.reserve(nsections);
-  for (std::size_t i = 0; i < nsections; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("checkpoint section table truncated");
-    }
-    std::istringstream is(*line);
-    std::string tag;
-    TableEntry entry;
-    is >> tag >> entry.name >> entry.length >> entry.hash;
-    if (is.fail() || tag != "S") {
-      return Status::InvalidArgument("malformed checkpoint section record");
-    }
-    Status record_end = ExpectLineEnd(is, "section");
-    if (!record_end.ok()) return record_end;
-    table.push_back(std::move(entry));
-  }
-  auto end = reader.Next();
-  if (end.ok() || !reader.done()) {
-    return end.ok() ? Status::InvalidArgument(
-                          "trailing data in checkpoint header")
-                    : end.status();
-  }
-  std::vector<Section> sections;
-  sections.reserve(table.size());
-  for (TableEntry& entry : table) {
-    // Read in bounded chunks rather than trusting the table-claimed
-    // length for one allocation: a crafted length can be recomputed
-    // into a "valid" table, and the honest failure mode for a length
-    // beyond the actual file is a truncation error, not bad_alloc.
-    std::string bytes;
-    bytes.reserve(std::min<std::size_t>(entry.length, 1 << 20));
-    std::size_t remaining = entry.length;
-    char buf[1 << 16];
-    while (remaining > 0) {
-      const std::size_t want = std::min(remaining, sizeof(buf));
-      in.read(buf, static_cast<std::streamsize>(want));
-      const auto got = static_cast<std::size_t>(in.gcount());
-      bytes.append(buf, got);
-      if (got < want) {
-        return Status::InvalidArgument(
-            "checkpoint truncated in section '" + entry.name + "'");
-      }
-      remaining -= got;
-    }
-    if (Fnv1a64(bytes) != entry.hash) {
-      return Status::InvalidArgument("checkpoint section '" + entry.name +
-                                     "' corrupted");
-    }
-    sections.push_back(Section{std::move(entry.name), std::move(bytes)});
-  }
-  Status stream_end = ExpectStreamEnd(in, "checkpoint");
-  if (!stream_end.ok()) return stream_end;
-  return sections;
+  return container;
 }
 
-const std::string* FindSection(const std::vector<Section>& sections,
+const std::string* FindSection(const std::vector<CheckpointSection>& sections,
                                const std::string& name) {
-  for (const Section& s : sections) {
+  for (const CheckpointSection& s : sections) {
     if (s.name == name) return &s.bytes;
   }
   return nullptr;
 }
 
-Status MissingSection(const std::string& name) {
-  return Status::InvalidArgument("checkpoint missing section '" + name +
-                                 "'");
+// Every name in `names` must be present.
+Status RequireSections(const std::vector<CheckpointSection>& sections,
+                       std::initializer_list<const char*> names) {
+  for (const char* name : names) {
+    if (FindSection(sections, name) == nullptr) {
+      return Status::InvalidArgument("checkpoint missing section '" +
+                                     std::string(name) + "'");
+    }
+  }
+  return Status::Ok();
 }
 
-void WritePolite(const std::vector<std::pair<uint32_t, double>>& records,
-                 std::ostream& out) {
-  TrailerWriter writer(out);
-  std::ostringstream header;
-  header << kPoliteMagic << ' ' << kFormatVersion << ' ' << records.size();
-  writer.Line(header.str());
+using PoliteRecords = std::vector<std::pair<uint32_t, double>>;
+
+std::string PoliteBytes(const PoliteRecords& records) {
+  std::string out;
+  RecordWriter w(&out);
+  w.Begin(kPoliteMagic).Put(kFormatVersion, records.size());
+  w.End();
   for (const auto& [site, last_access] : records) {
-    std::ostringstream os;
-    os.precision(17);
-    os << "A " << site << ' ' << last_access;
-    writer.Line(os.str());
+    w.Begin("A").Put(site, last_access);
+    w.End();
   }
-  writer.Finish();
+  w.Finish();
+  return out;
 }
 
-StatusOr<std::vector<std::pair<uint32_t, double>>> ReadPolite(
-    std::istream& in) {
-  TrailerReader reader(in);
-  auto header = reader.Next();
-  if (!header.ok()) return header.status();
-  std::istringstream hs(*header);
-  std::string magic;
-  int version = 0;
+StatusOr<PoliteRecords> ReadPolite(const std::string& bytes,
+                                   uint64_t sites) {
+  std::istringstream in(bytes);
+  RecordReader r(in, "politeness snapshot", sites);
   std::size_t count = 0;
-  hs >> magic >> version >> count;
-  if (hs.fail() || magic != kPoliteMagic || version != kFormatVersion) {
-    return Status::InvalidArgument("not a politeness snapshot");
+  Status st = r.ReadHeader(kPoliteMagic, kFormatVersion, &count);
+  PoliteRecords records;
+  if (st.ok()) {
+    st = r.ReadRecords(count, "A", [&](RecordCursor& c) {
+      auto& [site, last_access] = records.emplace_back();
+      c.Site(&site).Get(&last_access);
+    });
   }
-  Status header_end = ExpectLineEnd(hs, "polite header");
-  if (!header_end.ok()) return header_end;
-  std::vector<std::pair<uint32_t, double>> records;
-  records.reserve(std::min<std::size_t>(count, 1 << 20));
-  for (std::size_t i = 0; i < count; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("politeness record count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
-    uint32_t site = 0;
-    double last_access = 0.0;
-    is >> tag >> site >> last_access;
-    if (is.fail() || tag != "A") {
-      return Status::InvalidArgument("malformed politeness record");
-    }
-    Status record_end = ExpectLineEnd(is, "politeness");
-    if (!record_end.ok()) return record_end;
-    records.emplace_back(site, last_access);
-  }
-  Status end = FinishFramedStream(reader, in, "politeness snapshot");
-  if (!end.ok()) return end;
+  if (st.ok()) st = r.Finish();
+  if (!st.ok()) return st;
   return records;
 }
 
-void WriteTracker(const freshness::FreshnessTracker& tracker,
-                  std::ostream& out) {
-  TrailerWriter writer(out);
-  std::ostringstream header;
-  header << kTrackerMagic << ' ' << kFormatVersion << ' '
-         << tracker.size();
-  writer.Line(header.str());
+std::string TrackerBytes(const freshness::FreshnessTracker& tracker) {
+  std::string out;
+  RecordWriter w(&out);
+  w.Begin(kTrackerMagic).Put(kFormatVersion, tracker.size());
+  w.End();
   for (std::size_t i = 0; i < tracker.size(); ++i) {
-    std::ostringstream os;
-    os.precision(17);
-    os << "V " << tracker.times()[i] << ' ' << tracker.values()[i];
-    writer.Line(os.str());
+    w.Begin("V").Put(tracker.times()[i], tracker.values()[i]);
+    w.End();
   }
-  writer.Finish();
+  w.Finish();
+  return out;
 }
 
-struct TrackerSeries {
-  std::vector<double> times;
-  std::vector<double> values;
-};
-
-StatusOr<TrackerSeries> ReadTracker(std::istream& in) {
-  TrailerReader reader(in);
-  auto header = reader.Next();
-  if (!header.ok()) return header.status();
-  std::istringstream hs(*header);
-  std::string magic;
-  int version = 0;
+// Parses a tracker section and replaces `tracker`'s series with it.
+Status ReadTracker(const std::string& bytes,
+                   freshness::FreshnessTracker* tracker) {
+  std::istringstream in(bytes);
+  RecordReader r(in, "tracker snapshot");
   std::size_t count = 0;
-  hs >> magic >> version >> count;
-  if (hs.fail() || magic != kTrackerMagic || version != kFormatVersion) {
-    return Status::InvalidArgument("not a tracker snapshot");
+  Status st = r.ReadHeader(kTrackerMagic, kFormatVersion, &count);
+  freshness::FreshnessTracker staged;
+  if (st.ok()) {
+    st = r.ReadRecords(count, "V", [&](RecordCursor& c) {
+      double time = 0.0, value = 0.0;
+      c.Get(&time, &value);
+      staged.AddSample(time, value);
+    });
   }
-  Status header_end = ExpectLineEnd(hs, "tracker header");
-  if (!header_end.ok()) return header_end;
-  TrackerSeries series;
-  series.times.reserve(std::min<std::size_t>(count, 1 << 20));
-  series.values.reserve(std::min<std::size_t>(count, 1 << 20));
-  for (std::size_t i = 0; i < count; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("tracker sample count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
-    double time = 0.0, value = 0.0;
-    is >> tag >> time >> value;
-    if (is.fail() || tag != "V") {
-      return Status::InvalidArgument("malformed tracker record");
-    }
-    Status record_end = ExpectLineEnd(is, "tracker");
-    if (!record_end.ok()) return record_end;
-    series.times.push_back(time);
-    series.values.push_back(value);
-  }
-  Status end = FinishFramedStream(reader, in, "tracker snapshot");
-  if (!end.ok()) return end;
-  return series;
+  if (st.ok()) st = r.Finish();
+  if (!st.ok()) return st;
+  *tracker = std::move(staged);
+  return Status::Ok();
 }
 
 // A plain URL list (the BFS queue in queue order, the seen-set and the
 // pending-admission set in canonical order).
-void WriteUrlList(const std::vector<simweb::Url>& urls,
-                  std::ostream& out) {
-  TrailerWriter writer(out);
-  std::ostringstream header;
-  header << kUrlsMagic << ' ' << kFormatVersion << ' ' << urls.size();
-  writer.Line(header.str());
-  for (const simweb::Url& url : urls) {
-    std::ostringstream os;
-    os << "Q " << url.site << ' ' << url.slot << ' ' << url.incarnation;
-    writer.Line(os.str());
-  }
-  writer.Finish();
+std::string UrlListBytes(const std::vector<simweb::Url>& urls) {
+  std::string out;
+  RecordWriter w(&out);
+  w.Begin(kUrlsMagic).Put(kFormatVersion, urls.size());
+  w.End();
+  WriteUrls(w, "Q", urls);
+  w.Finish();
+  return out;
 }
 
-StatusOr<std::vector<simweb::Url>> ReadUrlList(std::istream& in) {
-  TrailerReader reader(in);
-  auto header = reader.Next();
-  if (!header.ok()) return header.status();
-  std::istringstream hs(*header);
-  std::string magic;
-  int version = 0;
+StatusOr<std::vector<simweb::Url>> ReadUrlList(const std::string& bytes,
+                                               uint64_t sites) {
+  std::istringstream in(bytes);
+  RecordReader r(in, "url-list snapshot", sites);
   std::size_t count = 0;
-  hs >> magic >> version >> count;
-  if (hs.fail() || magic != kUrlsMagic || version != kFormatVersion) {
-    return Status::InvalidArgument("not a url-list snapshot");
-  }
-  Status header_end = ExpectLineEnd(hs, "url-list header");
-  if (!header_end.ok()) return header_end;
+  Status st = r.ReadHeader(kUrlsMagic, kFormatVersion, &count);
   std::vector<simweb::Url> urls;
-  urls.reserve(std::min<std::size_t>(count, 1 << 20));
-  for (std::size_t i = 0; i < count; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("url-list record count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
-    simweb::Url url;
-    is >> tag >> url.site >> url.slot >> url.incarnation;
-    if (is.fail() || tag != "Q") {
-      return Status::InvalidArgument("malformed url-list record");
-    }
-    Status record_end = ExpectLineEnd(is, "url-list");
-    if (!record_end.ok()) return record_end;
-    urls.push_back(url);
-  }
-  Status end = FinishFramedStream(reader, in, "url-list snapshot");
-  if (!end.ok()) return end;
+  if (st.ok()) st = ReadUrls(r, count, "Q", &urls);
+  if (st.ok()) st = r.Finish();
+  if (!st.ok()) return st;
   return urls;
 }
 
-std::string RunningStatLine(const RunningStat& stat) {
-  RunningStat::State state = stat.SaveState();
-  std::ostringstream os;
-  os.precision(17);
-  os << "L " << state.count << ' ' << state.mean << ' ' << state.m2
-     << ' ' << state.min << ' ' << state.max;
-  return os.str();
+// `L <count> <mean> <m2> <min> <max>`: a RunningStat's raw state.
+void PutRunningStat(RecordWriter& w, const RunningStat& stat) {
+  const RunningStat::State s = stat.SaveState();
+  w.Begin("L").Put(s.count, s.mean, s.m2, s.min, s.max);
+  w.End();
 }
 
-StatusOr<RunningStat::State> ParseRunningStatLine(
-    const std::string& line) {
-  std::istringstream is(line);
-  std::string tag;
-  RunningStat::State state;
-  is >> tag >> state.count >> state.mean >> state.m2 >> state.min >>
-      state.max;
-  if (is.fail() || tag != "L") {
-    return Status::InvalidArgument("malformed running-stat record");
-  }
-  Status record_end = ExpectLineEnd(is, "running-stat");
-  if (!record_end.ok()) return record_end;
-  return state;
+Status ReadRunningStat(RecordReader& r, RunningStat* stat) {
+  return r.ReadRecords(1, "L", [&](RecordCursor& c) {
+    RunningStat::State s;
+    c.Get(&s.count, &s.mean, &s.m2, &s.min, &s.max);
+    stat->RestoreState(s);
+  });
 }
 
 // The failure-pipeline state both crawlers checkpoint: the per-site
@@ -972,7 +808,7 @@ struct SiteFailureRecord {
   uint32_t site = 0;
   uint32_t consecutive = 0;
   double quarantined_until = 0.0;
-  int rng_init = 0;
+  bool rng_init = false;
   std::array<uint64_t, 4> lane{};
 };
 
@@ -986,83 +822,55 @@ struct FailureSnapshot {
   std::vector<UrlFailureRecord> urls;
 };
 
-void WriteFailure(const FailureSnapshot& snap, std::ostream& out) {
-  TrailerWriter writer(out);
-  std::ostringstream header;
-  header << kFailureMagic << ' ' << kFormatVersion << ' '
-         << snap.sites.size() << ' ' << snap.urls.size();
-  writer.Line(header.str());
+std::string FailureBytes(FailureSnapshot snap) {
+  std::sort(snap.sites.begin(), snap.sites.end(),
+            [](const SiteFailureRecord& a, const SiteFailureRecord& b) {
+              return a.site < b.site;
+            });
+  std::sort(snap.urls.begin(), snap.urls.end(),
+            [](const UrlFailureRecord& a, const UrlFailureRecord& b) {
+              return IdentityLess(a.url, b.url);
+            });
+  std::string out;
+  RecordWriter w(&out);
+  w.Begin(kFailureMagic)
+      .Put(kFormatVersion, snap.sites.size(), snap.urls.size());
+  w.End();
   for (const SiteFailureRecord& r : snap.sites) {
-    std::ostringstream os;
-    os.precision(17);
-    os << "S " << r.site << ' ' << r.consecutive << ' '
-       << r.quarantined_until << ' ' << r.rng_init;
-    for (uint64_t lane : r.lane) os << ' ' << lane;
-    writer.Line(os.str());
+    w.Begin("S").Put(r.site, r.consecutive, r.quarantined_until, r.rng_init,
+                     r.lane);
+    w.End();
   }
   for (const UrlFailureRecord& r : snap.urls) {
-    std::ostringstream os;
-    os << "U " << r.url.site << ' ' << r.url.slot << ' '
-       << r.url.incarnation << ' ' << r.count;
-    writer.Line(os.str());
+    PutUrl(w.Begin("U"), r.url).Put(r.count);
+    w.End();
   }
-  writer.Finish();
+  w.Finish();
+  return out;
 }
 
-StatusOr<FailureSnapshot> ReadFailure(std::istream& in) {
-  TrailerReader reader(in);
-  auto header = reader.Next();
-  if (!header.ok()) return header.status();
-  std::istringstream hs(*header);
-  std::string magic;
-  int version = 0;
+StatusOr<FailureSnapshot> ReadFailure(const std::string& bytes,
+                                      uint64_t sites) {
+  std::istringstream in(bytes);
+  RecordReader r(in, "failure snapshot", sites);
   std::size_t nsites = 0, nurls = 0;
-  hs >> magic >> version >> nsites >> nurls;
-  if (hs.fail() || magic != kFailureMagic || version != kFormatVersion) {
-    return Status::InvalidArgument("not a failure-state snapshot");
-  }
-  Status header_end = ExpectLineEnd(hs, "failure header");
-  if (!header_end.ok()) return header_end;
+  Status st = r.ReadHeader(kFailureMagic, kFormatVersion, &nsites, &nurls);
   FailureSnapshot snap;
-  snap.sites.reserve(std::min<std::size_t>(nsites, 1 << 20));
-  snap.urls.reserve(std::min<std::size_t>(nurls, 1 << 20));
-  for (std::size_t i = 0; i < nsites; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("failure site count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
-    SiteFailureRecord r;
-    is >> tag >> r.site >> r.consecutive >> r.quarantined_until >>
-        r.rng_init;
-    for (uint64_t& lane : r.lane) is >> lane;
-    if (is.fail() || tag != "S") {
-      return Status::InvalidArgument("malformed failure site record");
-    }
-    Status record_end = ExpectLineEnd(is, "failure site");
-    if (!record_end.ok()) return record_end;
-    snap.sites.push_back(r);
+  if (st.ok()) {
+    st = r.ReadRecords(nsites, "S", [&](RecordCursor& c) {
+      SiteFailureRecord& s = snap.sites.emplace_back();
+      c.Site(&s.site).Get(&s.consecutive, &s.quarantined_until,
+                          &s.rng_init, &s.lane);
+    });
   }
-  for (std::size_t i = 0; i < nurls; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("failure url count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
-    UrlFailureRecord r;
-    is >> tag >> r.url.site >> r.url.slot >> r.url.incarnation >>
-        r.count;
-    if (is.fail() || tag != "U") {
-      return Status::InvalidArgument("malformed failure url record");
-    }
-    Status record_end = ExpectLineEnd(is, "failure url");
-    if (!record_end.ok()) return record_end;
-    snap.urls.push_back(r);
+  if (st.ok()) {
+    st = r.ReadRecords(nurls, "U", [&](RecordCursor& c) {
+      UrlFailureRecord& u = snap.urls.emplace_back();
+      GetUrl(c, &u.url).Get(&u.count);
+    });
   }
-  Status end = FinishFramedStream(reader, in, "failure snapshot");
-  if (!end.ok()) return end;
+  if (st.ok()) st = r.Finish();
+  if (!st.ok()) return st;
   return snap;
 }
 
@@ -1076,7 +884,7 @@ struct DefenseSiteRecord {
   uint64_t window_fetches = 0;
   uint64_t window_fresh = 0;
   uint32_t throttle_level = 0;
-  int quarantined = 0;
+  bool quarantined = false;
   double quarantined_until = 0.0;
   uint64_t suppressed_total = 0;
 };
@@ -1091,85 +899,49 @@ struct DefenseSnapshot {
   std::vector<DefenseFingerprintRecord> fingerprints;
 };
 
-void WriteDefense(const DefenseSnapshot& snap, std::ostream& out) {
-  TrailerWriter writer(out);
-  std::ostringstream header;
-  header << kDefenseMagic << ' ' << kFormatVersion << ' '
-         << snap.sites.size() << ' ' << snap.fingerprints.size();
-  writer.Line(header.str());
+std::string DefenseBytes(const DefenseSnapshot& snap) {
+  std::string out;
+  RecordWriter w(&out);
+  w.Begin(kDefenseMagic)
+      .Put(kFormatVersion, snap.sites.size(), snap.fingerprints.size());
+  w.End();
   for (const DefenseSiteRecord& r : snap.sites) {
-    std::ostringstream os;
-    os.precision(17);
-    os << "D " << r.site << ' ' << r.window_fetches << ' '
-       << r.window_fresh << ' ' << r.throttle_level << ' '
-       << r.quarantined << ' ' << r.quarantined_until << ' '
-       << r.suppressed_total;
-    writer.Line(os.str());
+    w.Begin("D").Put(r.site, r.window_fetches, r.window_fresh,
+                     r.throttle_level, r.quarantined, r.quarantined_until,
+                     r.suppressed_total);
+    w.End();
   }
   for (const DefenseFingerprintRecord& r : snap.fingerprints) {
-    std::ostringstream os;
-    os << "F " << r.checksum.hi << ' ' << r.checksum.lo << ' '
-       << r.url.site << ' ' << r.url.slot << ' ' << r.url.incarnation;
-    writer.Line(os.str());
+    PutUrl(w.Begin("F").Put(r.checksum.hi, r.checksum.lo), r.url);
+    w.End();
   }
-  writer.Finish();
+  w.Finish();
+  return out;
 }
 
-StatusOr<DefenseSnapshot> ReadDefense(std::istream& in) {
-  TrailerReader reader(in);
-  auto header = reader.Next();
-  if (!header.ok()) return header.status();
-  std::istringstream hs(*header);
-  std::string magic;
-  int version = 0;
+StatusOr<DefenseSnapshot> ReadDefense(const std::string& bytes,
+                                      uint64_t sites) {
+  std::istringstream in(bytes);
+  RecordReader r(in, "defense snapshot", sites);
   std::size_t nsites = 0, nfps = 0;
-  hs >> magic >> version >> nsites >> nfps;
-  if (hs.fail() || magic != kDefenseMagic || version != kFormatVersion) {
-    return Status::InvalidArgument("not a defense-state snapshot");
-  }
-  Status header_end = ExpectLineEnd(hs, "defense header");
-  if (!header_end.ok()) return header_end;
+  Status st = r.ReadHeader(kDefenseMagic, kFormatVersion, &nsites, &nfps);
   DefenseSnapshot snap;
-  snap.sites.reserve(std::min<std::size_t>(nsites, 1 << 20));
-  snap.fingerprints.reserve(std::min<std::size_t>(nfps, 1 << 20));
-  for (std::size_t i = 0; i < nsites; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("defense site count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
-    DefenseSiteRecord r;
-    is >> tag >> r.site >> r.window_fetches >> r.window_fresh >>
-        r.throttle_level >> r.quarantined >> r.quarantined_until >>
-        r.suppressed_total;
-    if (is.fail() || tag != "D") {
-      return Status::InvalidArgument("malformed defense site record");
-    }
-    Status record_end = ExpectLineEnd(is, "defense site");
-    if (!record_end.ok()) return record_end;
-    snap.sites.push_back(r);
+  if (st.ok()) {
+    st = r.ReadRecords(nsites, "D", [&](RecordCursor& c) {
+      DefenseSiteRecord& d = snap.sites.emplace_back();
+      c.Site(&d.site).Get(&d.window_fetches, &d.window_fresh,
+                          &d.throttle_level, &d.quarantined,
+                          &d.quarantined_until, &d.suppressed_total);
+    });
   }
-  for (std::size_t i = 0; i < nfps; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("defense fingerprint count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
-    DefenseFingerprintRecord r;
-    is >> tag >> r.checksum.hi >> r.checksum.lo >> r.url.site >>
-        r.url.slot >> r.url.incarnation;
-    if (is.fail() || tag != "F") {
-      return Status::InvalidArgument(
-          "malformed defense fingerprint record");
-    }
-    Status record_end = ExpectLineEnd(is, "defense fingerprint");
-    if (!record_end.ok()) return record_end;
-    snap.fingerprints.push_back(r);
+  if (st.ok()) {
+    st = r.ReadRecords(nfps, "F", [&](RecordCursor& c) {
+      DefenseFingerprintRecord& f = snap.fingerprints.emplace_back();
+      GetUrl(c.Get(&f.checksum.hi, &f.checksum.lo), &f.url);
+    });
   }
-  Status end = FinishFramedStream(reader, in, "defense snapshot");
-  if (!end.ok()) return end;
+  if (st.ok()) st = r.Finish();
+  if (!st.ok()) return st;
   return snap;
 }
 
@@ -1177,93 +949,106 @@ StatusOr<DefenseSnapshot> ReadDefense(std::istream& in) {
 // record with the global counters and time bounds, then one `D` record
 // per *non-empty* absolute day bucket, ascending — canonical because
 // the aggregate is a pure function of the fetch stream.
-void WriteTraffic(const CrawlModulePool::Traffic& traffic,
-                  std::ostream& out) {
-  std::size_t ndays = 0;
-  for (uint64_t count : traffic.fetches_per_day) {
-    if (count != 0) ++ndays;
-  }
-  TrailerWriter writer(out);
-  std::ostringstream header;
-  header << kTrafficMagic << ' ' << kFormatVersion << ' ' << ndays;
-  writer.Line(header.str());
-  {
-    std::ostringstream os;
-    os.precision(17);
-    os << "G " << traffic.fetch_count << ' ' << traffic.failure_count
-       << ' ' << traffic.politeness_rejections << ' '
-       << (traffic.any_fetch ? 1 : 0) << ' ' << traffic.first_fetch_time
-       << ' ' << traffic.last_fetch_time;
-    writer.Line(os.str());
-  }
+std::string TrafficBytes(const CrawlModulePool::Traffic& traffic) {
+  const std::size_t ndays = static_cast<std::size_t>(
+      std::count_if(traffic.fetches_per_day.begin(),
+                    traffic.fetches_per_day.end(),
+                    [](uint64_t count) { return count != 0; }));
+  std::string out;
+  RecordWriter w(&out);
+  w.Begin(kTrafficMagic).Put(kFormatVersion, ndays);
+  w.End();
+  w.Begin("G").Put(traffic.fetch_count, traffic.failure_count,
+                   traffic.politeness_rejections, traffic.any_fetch,
+                   traffic.first_fetch_time, traffic.last_fetch_time);
+  w.End();
   for (std::size_t day = 0; day < traffic.fetches_per_day.size(); ++day) {
     if (traffic.fetches_per_day[day] == 0) continue;
-    std::ostringstream os;
-    os << "D " << day << ' ' << traffic.fetches_per_day[day];
-    writer.Line(os.str());
+    w.Begin("D").Put(day, traffic.fetches_per_day[day]);
+    w.End();
   }
-  writer.Finish();
+  w.Finish();
+  return out;
 }
 
-StatusOr<CrawlModulePool::Traffic> ReadTraffic(std::istream& in) {
-  TrailerReader reader(in);
-  auto header = reader.Next();
-  if (!header.ok()) return header.status();
-  std::istringstream hs(*header);
-  std::string magic;
-  int version = 0;
+StatusOr<CrawlModulePool::Traffic> ReadTraffic(const std::string& bytes) {
+  std::istringstream in(bytes);
+  RecordReader r(in, "traffic snapshot");
   std::size_t ndays = 0;
-  hs >> magic >> version >> ndays;
-  if (hs.fail() || magic != kTrafficMagic || version != kFormatVersion) {
-    return Status::InvalidArgument("not a traffic snapshot");
+  Status st = r.ReadHeader(kTrafficMagic, kFormatVersion, &ndays);
+  CrawlModulePool::Traffic t;
+  if (st.ok()) {
+    st = r.ReadRecords(1, "G", [&](RecordCursor& c) {
+      c.Get(&t.fetch_count, &t.failure_count, &t.politeness_rejections,
+            &t.any_fetch, &t.first_fetch_time, &t.last_fetch_time);
+    });
   }
-  Status header_end = ExpectLineEnd(hs, "traffic header");
-  if (!header_end.ok()) return header_end;
-  CrawlModulePool::Traffic traffic;
-  auto g_line = reader.Next();
-  if (!g_line.ok()) return Status::InvalidArgument("missing traffic G record");
-  {
-    std::istringstream is(*g_line);
-    std::string tag;
-    int any = 0;
-    is >> tag >> traffic.fetch_count >> traffic.failure_count >>
-        traffic.politeness_rejections >> any >> traffic.first_fetch_time >>
-        traffic.last_fetch_time;
-    if (is.fail() || tag != "G") {
-      return Status::InvalidArgument("malformed traffic G record");
-    }
-    Status record_end = ExpectLineEnd(is, "traffic G");
-    if (!record_end.ok()) return record_end;
-    traffic.any_fetch = any != 0;
+  if (st.ok()) {
+    st = r.ReadRecords(ndays, "D", [&](RecordCursor& c) {
+      std::size_t day = 0;
+      uint64_t count = 0;
+      c.Get(&day, &count).Check(day < kMaxTrafficDays, "day out of range");
+      if (!c.ok()) return;
+      if (day >= t.fetches_per_day.size()) {
+        t.fetches_per_day.resize(day + 1, 0);
+      }
+      t.fetches_per_day[day] = count;
+    });
   }
-  // Range guard before sizing the histogram off parsed day indices.
-  constexpr std::size_t kMaxTrafficDays = 1 << 24;
-  for (std::size_t i = 0; i < ndays; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("traffic day count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
-    std::size_t day = 0;
-    uint64_t count = 0;
-    is >> tag >> day >> count;
-    if (is.fail() || tag != "D" || day >= kMaxTrafficDays) {
-      return Status::InvalidArgument("malformed traffic day record");
-    }
-    Status record_end = ExpectLineEnd(is, "traffic day");
-    if (!record_end.ok()) return record_end;
-    if (day >= traffic.fetches_per_day.size()) {
-      traffic.fetches_per_day.resize(day + 1, 0);
-    }
-    traffic.fetches_per_day[day] = count;
-  }
-  Status end = FinishFramedStream(reader, in, "traffic snapshot");
-  if (!end.ok()) return end;
-  return traffic;
+  if (st.ok()) st = r.Finish();
+  if (!st.ok()) return st;
+  return t;
 }
 
 }  // namespace
+
+StatusOr<CheckpointContainer> ReadCheckpointContainer(std::istream& in) {
+  RecordReader r(in, "crawler checkpoint");
+  CheckpointContainer container;
+  container.version = kCrawlerFormatVersion;
+  std::size_t nsections = 0;
+  Status st = r.ReadHeader(kCrawlerMagic, kCrawlerFormatVersion,
+                           &container.kind, &nsections);
+  if (st.ok() && nsections > kMaxSections) {
+    st = Status::InvalidArgument("implausible checkpoint section count");
+  }
+  std::vector<std::pair<std::size_t, uint64_t>> table;  // length, fnv64
+  if (st.ok()) {
+    st = r.ReadRecords(nsections, "S", [&](RecordCursor& c) {
+      auto& [length, hash] = table.emplace_back();
+      c.Get(&container.sections.emplace_back().name, &length, &hash);
+    });
+  }
+  if (st.ok()) st = r.ReadTrailer();
+  if (!st.ok()) return st;
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    CheckpointSection& section = container.sections[i];
+    // Read in bounded chunks rather than trusting the table-claimed
+    // length for one allocation: a crafted length can be recomputed
+    // into a "valid" table, and the honest failure mode for a length
+    // beyond the actual file is a truncation error, not bad_alloc.
+    std::size_t remaining = table[i].first;
+    char buf[1 << 16];
+    while (remaining > 0) {
+      const std::size_t want = std::min(remaining, sizeof(buf));
+      in.read(buf, static_cast<std::streamsize>(want));
+      const auto got = static_cast<std::size_t>(in.gcount());
+      section.bytes.append(buf, got);
+      if (got < want) {
+        return Status::InvalidArgument("checkpoint truncated in section '" +
+                                       section.name + "'");
+      }
+      remaining -= got;
+    }
+    if (Fnv1a64(section.bytes) != table[i].second) {
+      return Status::InvalidArgument("checkpoint section '" + section.name +
+                                     "' corrupted");
+    }
+  }
+  st = ExpectStreamEnd(in, "checkpoint");
+  if (!st.ok()) return st;
+  return container;
+}
 
 /// Shared plumbing of the full and incremental whole-crawler
 /// checkpoints — the private-state section builders, their parsers,
@@ -1276,150 +1061,75 @@ struct CheckpointIo {
     double now = 0.0, next_refine = 0.0, next_rebalance = 0.0,
            next_sample = 0.0, steady_since = 0.0;
     uint64_t batches_completed = 0;
-    int reached_capacity = 0;
+    bool reached_capacity = false;
     int64_t refinements = 0;
     IncrementalCrawler::Stats stats;
   };
 
   static std::string IncMeta(const IncrementalCrawler& crawler) {
-    std::ostringstream os;
-    TrailerWriter writer(os);
-    {
-      std::ostringstream header;
-      header << kIncMetaMagic << ' ' << kIncMetaVersion;
-      writer.Line(header.str());
-    }
-    {
-      std::ostringstream t;
-      t.precision(17);
-      t << "T " << crawler.now_ << ' ' << crawler.next_refine_ << ' '
-        << crawler.next_rebalance_ << ' ' << crawler.next_sample_ << ' '
-        << crawler.steady_since_;
-      writer.Line(t.str());
-    }
-    {
-      std::ostringstream b;
-      b << "B " << crawler.batches_completed_ << ' '
-        << (crawler.reached_capacity_once_ ? 1 : 0);
-      writer.Line(b.str());
-    }
-    {
-      const IncrementalCrawler::Stats& s = crawler.stats_;
-      std::ostringstream c;
-      c << "C " << s.crawls << ' ' << s.in_place_updates << ' '
-        << s.pages_added << ' ' << s.pages_evicted << ' '
-        << s.replacements_executed << ' ' << s.dead_pages_removed << ' '
-        << s.changes_detected << ' ' << s.politeness_retries << ' '
-        << s.in_batch_retries << ' ' << s.lease_budget_granted << ' '
-        << s.lease_admissions << ' ' << s.fetch_failures << ' '
-        << s.transient_errors << ' ' << s.timeout_errors << ' '
-        << s.failure_retries << ' ' << s.sites_quarantined << ' '
-        << s.urls_retired << ' ' << s.wasted_fetches << ' '
-        << s.trap_sites_throttled << ' ' << s.duplicate_urls_suppressed
-        << ' ' << s.pages_migrated << ' '
-        << crawler.ranking_module_.refinement_count();
-      writer.Line(c.str());
-    }
-    writer.Line(RunningStatLine(crawler.stats_.new_page_latency_days));
-    writer.Line(RunningStatLine(crawler.stats_.backoff_days));
-    writer.Finish();
-    return os.str();
+    const IncrementalCrawler::Stats& s = crawler.stats_;
+    std::string out;
+    RecordWriter w(&out);
+    w.Begin(kIncMetaMagic).Put(kIncMetaVersion);
+    w.End();
+    w.Begin("T").Put(crawler.now_, crawler.next_refine_,
+                     crawler.next_rebalance_, crawler.next_sample_,
+                     crawler.steady_since_);
+    w.End();
+    w.Begin("B").Put(crawler.batches_completed_,
+                     crawler.reached_capacity_once_);
+    w.End();
+    w.Begin("C").Put(
+        s.crawls, s.in_place_updates, s.pages_added, s.pages_evicted,
+        s.replacements_executed, s.dead_pages_removed, s.changes_detected,
+        s.politeness_retries, s.in_batch_retries, s.lease_budget_granted,
+        s.lease_admissions, s.fetch_failures, s.transient_errors,
+        s.timeout_errors, s.failure_retries, s.sites_quarantined,
+        s.urls_retired, s.wasted_fetches, s.trap_sites_throttled,
+        s.duplicate_urls_suppressed, s.pages_migrated,
+        crawler.ranking_module_.refinement_count());
+    w.End();
+    PutRunningStat(w, s.new_page_latency_days);
+    PutRunningStat(w, s.backoff_days);
+    w.Finish();
+    return out;
   }
 
   static StatusOr<IncMetaState> ParseIncMeta(const std::string& bytes) {
+    std::istringstream in(bytes);
+    RecordReader r(in, "checkpoint meta");
     IncMetaState meta;
-    int meta_version = 0;
-    std::istringstream ms(bytes);
-    TrailerReader reader(ms);
-    auto header = reader.Next();
-    if (!header.ok()) return header.status();
-    {
-      std::istringstream hs(*header);
-      std::string magic;
-      hs >> magic >> meta_version;
-      if (hs.fail() || magic != kIncMetaMagic) {
-        return Status::InvalidArgument("malformed checkpoint meta header");
-      }
-      // Older metas stay loadable: a version-1 C record lacks the
-      // lease ledger, versions 1-2 lack the failure ledger, versions
-      // 1-3 lack the defense ledger — those counters simply restart
-      // at zero.
-      if (meta_version < 1 || meta_version > kIncMetaVersion) {
-        return Status::InvalidArgument(
-            "unsupported checkpoint meta version");
-      }
-      Status end = ExpectLineEnd(hs, "meta header");
-      if (!end.ok()) return end;
+    IncrementalCrawler::Stats& s = meta.stats;
+    Status st = r.ReadHeader(kIncMetaMagic, kIncMetaVersion);
+    if (st.ok()) {
+      st = r.ReadRecords(1, "T", [&](RecordCursor& c) {
+        c.Get(&meta.now, &meta.next_refine, &meta.next_rebalance,
+              &meta.next_sample, &meta.steady_since);
+      });
     }
-    auto t_line = reader.Next();
-    if (!t_line.ok()) return t_line.status();
-    {
-      std::istringstream is(*t_line);
-      std::string tag;
-      is >> tag >> meta.now >> meta.next_refine >> meta.next_rebalance >>
-          meta.next_sample >> meta.steady_since;
-      if (is.fail() || tag != "T") {
-        return Status::InvalidArgument("malformed checkpoint T record");
-      }
-      Status end = ExpectLineEnd(is, "T");
-      if (!end.ok()) return end;
+    if (st.ok()) {
+      st = r.ReadRecords(1, "B", [&](RecordCursor& c) {
+        c.Get(&meta.batches_completed, &meta.reached_capacity);
+      });
     }
-    auto b_line = reader.Next();
-    if (!b_line.ok()) return b_line.status();
-    {
-      std::istringstream is(*b_line);
-      std::string tag;
-      is >> tag >> meta.batches_completed >> meta.reached_capacity;
-      if (is.fail() || tag != "B") {
-        return Status::InvalidArgument("malformed checkpoint B record");
-      }
-      Status end = ExpectLineEnd(is, "B");
-      if (!end.ok()) return end;
+    if (st.ok()) {
+      st = r.ReadRecords(1, "C", [&](RecordCursor& c) {
+        c.Get(&s.crawls, &s.in_place_updates, &s.pages_added,
+              &s.pages_evicted, &s.replacements_executed,
+              &s.dead_pages_removed, &s.changes_detected,
+              &s.politeness_retries, &s.in_batch_retries,
+              &s.lease_budget_granted, &s.lease_admissions,
+              &s.fetch_failures, &s.transient_errors, &s.timeout_errors,
+              &s.failure_retries, &s.sites_quarantined, &s.urls_retired,
+              &s.wasted_fetches, &s.trap_sites_throttled,
+              &s.duplicate_urls_suppressed, &s.pages_migrated,
+              &meta.refinements);
+      });
     }
-    auto c_line = reader.Next();
-    if (!c_line.ok()) return c_line.status();
-    {
-      std::istringstream is(*c_line);
-      std::string tag;
-      IncrementalCrawler::Stats& stats = meta.stats;
-      is >> tag >> stats.crawls >> stats.in_place_updates >>
-          stats.pages_added >> stats.pages_evicted >>
-          stats.replacements_executed >> stats.dead_pages_removed >>
-          stats.changes_detected >> stats.politeness_retries >>
-          stats.in_batch_retries;
-      if (meta_version >= 2) {
-        is >> stats.lease_budget_granted >> stats.lease_admissions;
-      }
-      if (meta_version >= 3) {
-        is >> stats.fetch_failures >> stats.transient_errors >>
-            stats.timeout_errors >> stats.failure_retries >>
-            stats.sites_quarantined >> stats.urls_retired;
-      }
-      if (meta_version >= 4) {
-        is >> stats.wasted_fetches >> stats.trap_sites_throttled >>
-            stats.duplicate_urls_suppressed >> stats.pages_migrated;
-      }
-      is >> meta.refinements;
-      if (is.fail() || tag != "C") {
-        return Status::InvalidArgument("malformed checkpoint C record");
-      }
-      Status end = ExpectLineEnd(is, "C");
-      if (!end.ok()) return end;
-    }
-    auto l_line = reader.Next();
-    if (!l_line.ok()) return l_line.status();
-    auto latency = ParseRunningStatLine(*l_line);
-    if (!latency.ok()) return latency.status();
-    meta.stats.new_page_latency_days.RestoreState(*latency);
-    if (meta_version >= 3) {
-      auto backoff_line = reader.Next();
-      if (!backoff_line.ok()) return backoff_line.status();
-      auto backoff = ParseRunningStatLine(*backoff_line);
-      if (!backoff.ok()) return backoff.status();
-      meta.stats.backoff_days.RestoreState(*backoff);
-    }
-    Status end = FinishFramedStream(reader, ms, "checkpoint meta");
-    if (!end.ok()) return end;
+    if (st.ok()) st = ReadRunningStat(r, &s.new_page_latency_days);
+    if (st.ok()) st = ReadRunningStat(r, &s.backoff_days);
+    if (st.ok()) st = r.Finish();
+    if (!st.ok()) return st;
     return meta;
   }
 
@@ -1434,7 +1144,7 @@ struct CheckpointIo {
     crawler->next_rebalance_ = meta.next_rebalance;
     crawler->next_sample_ = meta.next_sample;
     crawler->steady_since_ = meta.steady_since;
-    crawler->reached_capacity_once_ = meta.reached_capacity != 0;
+    crawler->reached_capacity_once_ = meta.reached_capacity;
     crawler->batches_completed_ = meta.batches_completed;
     crawler->bootstrapped_ = true;
   }
@@ -1448,9 +1158,7 @@ struct CheckpointIo {
       pending.insert(pending.end(), shard.begin(), shard.end());
     }
     std::sort(pending.begin(), pending.end(), IdentityLess);
-    std::ostringstream os;
-    WriteUrlList(pending, os);
-    return os.str();
+    return UrlListBytes(pending);
   }
 
   static void ApplyPending(const std::vector<simweb::Url>& pending,
@@ -1461,36 +1169,25 @@ struct CheckpointIo {
 
   static std::string Failure(const IncrementalCrawler& crawler) {
     // Circuit breakers (with their backoff RNG lane positions) and
-    // retirement counts, in canonical order, so a resume mid-backoff
-    // or mid-quarantine replays the same schedule.
+    // retirement counts, so a resume mid-backoff or mid-quarantine
+    // replays the same schedule.
     FailureSnapshot snap;
     for (const auto& shard : crawler.site_failure_shards_) {
       for (const auto& [site, state] : shard) {
-        SiteFailureRecord r;
+        SiteFailureRecord& r = snap.sites.emplace_back();
         r.site = site;
         r.consecutive = state.consecutive;
         r.quarantined_until = state.quarantined_until;
-        r.rng_init = state.rng_init ? 1 : 0;
+        r.rng_init = state.rng_init;
         if (state.rng_init) r.lane = state.backoff.State();
-        snap.sites.push_back(r);
       }
     }
-    std::sort(snap.sites.begin(), snap.sites.end(),
-              [](const SiteFailureRecord& a, const SiteFailureRecord& b) {
-                return a.site < b.site;
-              });
     for (const auto& shard : crawler.url_failure_shards_) {
       for (const auto& [url, fails] : shard) {
         snap.urls.push_back(UrlFailureRecord{url, fails});
       }
     }
-    std::sort(snap.urls.begin(), snap.urls.end(),
-              [](const UrlFailureRecord& a, const UrlFailureRecord& b) {
-                return IdentityLess(a.url, b.url);
-              });
-    std::ostringstream os;
-    WriteFailure(snap, os);
-    return os.str();
+    return FailureBytes(std::move(snap));
   }
 
   static void ApplyFailure(const FailureSnapshot& failure,
@@ -1506,7 +1203,7 @@ struct CheckpointIo {
       IncrementalCrawler::SiteFailureState state;
       state.consecutive = r.consecutive;
       state.quarantined_until = r.quarantined_until;
-      state.rng_init = r.rng_init != 0;
+      state.rng_init = r.rng_init;
       if (state.rng_init) state.backoff.SetState(r.lane);
       crawler->site_failure_shards_[r.site % shards].emplace(r.site,
                                                             state);
@@ -1525,15 +1222,10 @@ struct CheckpointIo {
     DefenseSnapshot snap;
     for (const auto& shard : crawler.site_defense_shards_) {
       for (const auto& [site, state] : shard) {
-        DefenseSiteRecord r;
-        r.site = site;
-        r.window_fetches = state.window_fetches;
-        r.window_fresh = state.window_fresh;
-        r.throttle_level = state.throttle_level;
-        r.quarantined = state.quarantined ? 1 : 0;
-        r.quarantined_until = state.quarantined_until;
-        r.suppressed_total = state.suppressed_total;
-        snap.sites.push_back(r);
+        snap.sites.push_back(DefenseSiteRecord{
+            site, state.window_fetches, state.window_fresh,
+            state.throttle_level, state.quarantined,
+            state.quarantined_until, state.suppressed_total});
       }
     }
     std::sort(snap.sites.begin(), snap.sites.end(),
@@ -1544,9 +1236,7 @@ struct CheckpointIo {
          crawler.all_urls_.SortedFingerprints()) {
       snap.fingerprints.push_back(DefenseFingerprintRecord{checksum, url});
     }
-    std::ostringstream os;
-    WriteDefense(snap, os);
-    return os.str();
+    return DefenseBytes(snap);
   }
 
   static void ApplyDefense(const DefenseSnapshot& defense,
@@ -1562,7 +1252,7 @@ struct CheckpointIo {
       state.window_fetches = r.window_fetches;
       state.window_fresh = r.window_fresh;
       state.throttle_level = r.throttle_level;
-      state.quarantined = r.quarantined != 0;
+      state.quarantined = r.quarantined;
       state.quarantined_until = r.quarantined_until;
       state.suppressed_total = r.suppressed_total;
       crawler->site_defense_shards_[r.site % shards].emplace(r.site,
@@ -1582,80 +1272,47 @@ struct CheckpointIo {
   static std::string CollDelta(const IncrementalCrawler& crawler) {
     storage::RecordStore<CollectionEntry>::DirtySet dirty;
     crawler.collection_.AppendDirty(&dirty);
-    std::vector<std::string> upserts;
+    std::vector<const CollectionEntry*> upserts;
     std::vector<simweb::Url> tombstones;
     for (const simweb::Url& url : dirty) {
       const CollectionEntry* entry = crawler.collection_.Find(url);
       if (entry != nullptr) {
-        upserts.push_back(EntryLine(*entry));
+        upserts.push_back(entry);
       } else {
         tombstones.push_back(url);
       }
     }
-    std::ostringstream os;
-    TrailerWriter writer(os);
-    std::ostringstream header;
-    header << kCollDeltaMagic << ' ' << kFormatVersion << ' '
-           << upserts.size() << ' ' << tombstones.size();
-    writer.Line(header.str());
-    for (const std::string& line : upserts) writer.Line(line);
-    for (const simweb::Url& url : tombstones) {
-      std::ostringstream t;
-      t << "D " << url.site << ' ' << url.slot << ' ' << url.incarnation;
-      writer.Line(t.str());
+    std::string out;
+    RecordWriter w(&out);
+    w.Begin(kCollDeltaMagic)
+        .Put(kFormatVersion, upserts.size(), tombstones.size());
+    w.End();
+    for (const CollectionEntry* e : upserts) {
+      PutEntry(w.Begin("E"), *e);
+      w.End();
     }
-    writer.Finish();
-    return os.str();
+    WriteUrls(w, "D", tombstones);
+    w.Finish();
+    return out;
   }
 
-  static Status ApplyCollDelta(const std::string& bytes,
+  static Status ApplyCollDelta(const std::string& bytes, uint64_t sites,
                                IncrementalCrawler* crawler) {
     std::istringstream in(bytes);
-    TrailerReader reader(in);
-    auto header = reader.Next();
-    if (!header.ok()) return header.status();
-    std::istringstream hs(*header);
-    std::string magic;
-    int version = 0;
+    RecordReader r(in, "collection delta", sites);
     std::size_t nupserts = 0, ntombstones = 0;
-    hs >> magic >> version >> nupserts >> ntombstones;
-    if (hs.fail() || magic != kCollDeltaMagic ||
-        version != kFormatVersion) {
-      return Status::InvalidArgument("not a collection delta");
-    }
-    Status header_end = ExpectLineEnd(hs, "dcoll header");
-    if (!header_end.ok()) return header_end;
+    Status st = r.ReadHeader(kCollDeltaMagic, kFormatVersion, &nupserts,
+                             &ntombstones);
     std::vector<CollectionEntry> upserts;
-    upserts.reserve(std::min<std::size_t>(nupserts, 1 << 20));
-    for (std::size_t i = 0; i < nupserts; ++i) {
-      auto line = reader.Next();
-      if (!line.ok()) {
-        return Status::InvalidArgument("dcoll upsert count mismatch");
-      }
-      auto entry = ParseEntry(*line);
-      if (!entry.ok()) return entry.status();
-      upserts.push_back(std::move(entry).value());
-    }
     std::vector<simweb::Url> tombstones;
-    tombstones.reserve(std::min<std::size_t>(ntombstones, 1 << 20));
-    for (std::size_t i = 0; i < ntombstones; ++i) {
-      auto line = reader.Next();
-      if (!line.ok()) {
-        return Status::InvalidArgument("dcoll tombstone count mismatch");
-      }
-      std::istringstream is(*line);
-      std::string tag;
-      simweb::Url url;
-      is >> tag >> url.site >> url.slot >> url.incarnation;
-      if (is.fail() || tag != "D") {
-        return Status::InvalidArgument("malformed dcoll tombstone");
-      }
-      Status record_end = ExpectLineEnd(is, "dcoll tombstone");
-      if (!record_end.ok()) return record_end;
-      tombstones.push_back(url);
+    if (st.ok()) {
+      st = r.ReadRecords(nupserts, "E", [&](RecordCursor& c) {
+        GetEntry(c, &upserts.emplace_back());
+      });
     }
-    Status end = FinishFramedStream(reader, in, "collection delta");
-    if (!end.ok()) return end;
+    if (st.ok()) st = ReadUrls(r, ntombstones, "D", &tombstones);
+    if (st.ok()) st = r.Finish();
+    if (!st.ok()) return st;
     // Tombstones first so upserts never transiently breach capacity: a
     // segment's end state satisfies size <= capacity, and erase-then-
     // insert approaches it monotonically from below.
@@ -1663,7 +1320,7 @@ struct CheckpointIo {
       (void)crawler->collection_.Remove(url);  // absent is fine
     }
     for (CollectionEntry& entry : upserts) {
-      Status st = crawler->collection_.Upsert(std::move(entry));
+      st = crawler->collection_.Upsert(std::move(entry));
       if (!st.ok()) return st;
     }
     return Status::Ok();
@@ -1672,71 +1329,40 @@ struct CheckpointIo {
   static std::string AllUrlsDelta(const IncrementalCrawler& crawler) {
     AllUrls::DirtySet dirty;
     crawler.all_urls_.AppendDirty(&dirty);
-    std::ostringstream os;
-    TrailerWriter writer(os);
     // AllUrls records are never erased (dead URLs keep their record as
     // a logical tombstone), so the delta is upserts only.
-    std::vector<std::string> upserts;
+    std::vector<std::pair<simweb::Url, const AllUrls::UrlInfo*>> upserts;
     for (const simweb::Url& url : dirty) {
       const AllUrls::UrlInfo* info = crawler.all_urls_.Find(url);
-      if (info == nullptr) continue;
-      std::ostringstream rec;
-      rec.precision(17);
-      rec << "U " << url.site << ' ' << url.slot << ' '
-          << url.incarnation << ' ' << info->first_seen << ' '
-          << info->in_links << ' ' << (info->dead ? 1 : 0);
-      upserts.push_back(rec.str());
+      if (info != nullptr) upserts.emplace_back(url, info);
     }
-    std::ostringstream header;
-    header << kAllUrlsDeltaMagic << ' ' << kFormatVersion << ' '
-           << upserts.size();
-    writer.Line(header.str());
-    for (const std::string& line : upserts) writer.Line(line);
-    writer.Finish();
-    return os.str();
+    std::string out;
+    RecordWriter w(&out);
+    w.Begin(kAllUrlsDeltaMagic).Put(kFormatVersion, upserts.size());
+    w.End();
+    for (const auto& [url, info] : upserts) {
+      PutUrlInfo(PutUrl(w.Begin("U"), url), *info);
+      w.End();
+    }
+    w.Finish();
+    return out;
   }
 
-  static Status ApplyAllUrlsDelta(const std::string& bytes,
+  static Status ApplyAllUrlsDelta(const std::string& bytes, uint64_t sites,
                                   IncrementalCrawler* crawler) {
     std::istringstream in(bytes);
-    TrailerReader reader(in);
-    auto header = reader.Next();
-    if (!header.ok()) return header.status();
-    std::istringstream hs(*header);
-    std::string magic;
-    int version = 0;
+    RecordReader r(in, "allurls delta", sites);
     std::size_t count = 0;
-    hs >> magic >> version >> count;
-    if (hs.fail() || magic != kAllUrlsDeltaMagic ||
-        version != kFormatVersion) {
-      return Status::InvalidArgument("not an AllUrls delta");
-    }
-    Status header_end = ExpectLineEnd(hs, "dallurls header");
-    if (!header_end.ok()) return header_end;
+    Status st = r.ReadHeader(kAllUrlsDeltaMagic, kFormatVersion, &count);
     std::vector<std::pair<simweb::Url, AllUrls::UrlInfo>> upserts;
-    upserts.reserve(std::min<std::size_t>(count, 1 << 20));
-    for (std::size_t i = 0; i < count; ++i) {
-      auto line = reader.Next();
-      if (!line.ok()) {
-        return Status::InvalidArgument("dallurls record count mismatch");
-      }
-      std::istringstream is(*line);
-      std::string tag;
-      simweb::Url url;
-      AllUrls::UrlInfo info;
-      int dead = 0;
-      is >> tag >> url.site >> url.slot >> url.incarnation >>
-          info.first_seen >> info.in_links >> dead;
-      if (is.fail() || tag != "U") {
-        return Status::InvalidArgument("malformed dallurls record");
-      }
-      Status record_end = ExpectLineEnd(is, "dallurls record");
-      if (!record_end.ok()) return record_end;
-      info.dead = dead != 0;
-      upserts.emplace_back(url, info);
+    if (st.ok()) {
+      st = r.ReadRecords(count, "U", [&](RecordCursor& c) {
+        auto& [url, info] = upserts.emplace_back();
+        GetUrlInfo(GetUrl(c, &url), &info);
+      });
     }
-    Status end = FinishFramedStream(reader, in, "allurls delta");
-    if (!end.ok()) return end;
+    if (st.ok()) st = r.Finish();
+    if (!st.ok()) return st;
     for (const auto& [url, info] : upserts) {
       crawler->all_urls_.Restore(url, info);
     }
@@ -1744,119 +1370,65 @@ struct CheckpointIo {
   }
 
   static std::string FrontierDelta(const IncrementalCrawler& crawler) {
-    std::ostringstream os;
-    TrailerWriter writer(os);
     // The frontier marking ledger: for each URL whose queue position
     // may have moved since the last checkpoint, either its exact live
     // (when, seq) key or a tombstone. Unlike the full frontier section
     // (ordered by seq), delta records follow the ledger's canonical
     // URL-identity order.
-    std::vector<std::string> upserts;
+    std::vector<CollUrls::Entry> upserts;
     std::vector<simweb::Url> tombstones;
     for (const simweb::Url& url : crawler.frontier_dirty_) {
       auto entry = crawler.coll_urls_.LookupEntry(url);
       if (entry.has_value()) {
-        std::ostringstream rec;
-        rec.precision(17);
-        rec << "F " << url.site << ' ' << url.slot << ' '
-            << url.incarnation << ' ' << entry->when << ' ' << entry->seq;
-        upserts.push_back(rec.str());
+        upserts.push_back(*entry);
       } else {
         tombstones.push_back(url);
       }
     }
-    std::ostringstream header;
-    header.precision(17);
-    header << kFrontierDeltaMagic << ' ' << kFormatVersion << ' '
-           << upserts.size() << ' ' << tombstones.size() << ' '
-           << crawler.coll_urls_.next_seq() << ' '
-           << crawler.coll_urls_.front_when();
-    writer.Line(header.str());
-    for (const std::string& line : upserts) writer.Line(line);
-    for (const simweb::Url& url : tombstones) {
-      std::ostringstream t;
-      t << "D " << url.site << ' ' << url.slot << ' ' << url.incarnation;
-      writer.Line(t.str());
+    std::string out;
+    RecordWriter w(&out);
+    w.Begin(kFrontierDeltaMagic)
+        .Put(kFormatVersion, upserts.size(), tombstones.size(),
+             crawler.coll_urls_.next_seq(), crawler.coll_urls_.front_when());
+    w.End();
+    for (const CollUrls::Entry& e : upserts) {
+      PutScheduled(w, e.url, e.when, e.seq);
     }
-    writer.Finish();
-    return os.str();
+    WriteUrls(w, "D", tombstones);
+    w.Finish();
+    return out;
   }
 
-  static Status ApplyFrontierDelta(const std::string& bytes,
+  static Status ApplyFrontierDelta(const std::string& bytes, uint64_t sites,
                                    IncrementalCrawler* crawler) {
     std::istringstream in(bytes);
-    TrailerReader reader(in);
-    auto header = reader.Next();
-    if (!header.ok()) return header.status();
-    std::istringstream hs(*header);
-    std::string magic;
-    int version = 0;
+    RecordReader r(in, "frontier delta", sites);
     std::size_t nupserts = 0, ntombstones = 0;
     uint64_t next_seq = 0;
     double front_when = 0.0;
-    hs >> magic >> version >> nupserts >> ntombstones >> next_seq >>
-        front_when;
-    if (hs.fail() || magic != kFrontierDeltaMagic ||
-        version != kFormatVersion) {
-      return Status::InvalidArgument("not a frontier delta");
-    }
-    Status header_end = ExpectLineEnd(hs, "dfrontier header");
-    if (!header_end.ok()) return header_end;
-    struct Upsert {
-      simweb::Url url;
-      double when = 0.0;
-      uint64_t seq = 0;
-    };
-    std::vector<Upsert> upserts;
-    upserts.reserve(std::min<std::size_t>(nupserts, 1 << 20));
-    for (std::size_t i = 0; i < nupserts; ++i) {
-      auto line = reader.Next();
-      if (!line.ok()) {
-        return Status::InvalidArgument("dfrontier upsert count mismatch");
-      }
-      std::istringstream is(*line);
-      std::string tag;
-      Upsert u;
-      is >> tag >> u.url.site >> u.url.slot >> u.url.incarnation >>
-          u.when >> u.seq;
-      if (is.fail() || tag != "F") {
-        return Status::InvalidArgument("malformed dfrontier record");
-      }
-      Status record_end = ExpectLineEnd(is, "dfrontier record");
-      if (!record_end.ok()) return record_end;
-      upserts.push_back(u);
-    }
+    Status st = r.ReadHeader(kFrontierDeltaMagic, kFormatVersion, &nupserts,
+                             &ntombstones, &next_seq, &front_when);
+    std::vector<CollUrls::Entry> upserts;
     std::vector<simweb::Url> tombstones;
-    tombstones.reserve(std::min<std::size_t>(ntombstones, 1 << 20));
-    for (std::size_t i = 0; i < ntombstones; ++i) {
-      auto line = reader.Next();
-      if (!line.ok()) {
-        return Status::InvalidArgument(
-            "dfrontier tombstone count mismatch");
-      }
-      std::istringstream is(*line);
-      std::string tag;
-      simweb::Url url;
-      is >> tag >> url.site >> url.slot >> url.incarnation;
-      if (is.fail() || tag != "D") {
-        return Status::InvalidArgument("malformed dfrontier tombstone");
-      }
-      Status record_end = ExpectLineEnd(is, "dfrontier tombstone");
-      if (!record_end.ok()) return record_end;
-      tombstones.push_back(url);
+    if (st.ok()) {
+      st = r.ReadRecords(nupserts, "F", [&](RecordCursor& c) {
+        GetScheduled(c, &upserts.emplace_back());
+      });
     }
-    Status end = FinishFramedStream(reader, in, "frontier delta");
-    if (!end.ok()) return end;
+    if (st.ok()) st = ReadUrls(r, ntombstones, "D", &tombstones);
+    if (st.ok()) st = r.Finish();
+    if (!st.ok()) return st;
+    ShardedFrontier& frontier = crawler->coll_urls_;
     for (const simweb::Url& url : tombstones) {
-      (void)crawler->coll_urls_.Remove(url);  // absent is fine
+      (void)frontier.Remove(url);  // absent is fine
     }
-    for (const Upsert& u : upserts) {
+    for (const CollUrls::Entry& e : upserts) {
       // ScheduleLane replaces any live entry of the URL, and replay is
       // serial, so this reproduces LoadFrontier's end state exactly.
-      crawler->coll_urls_.ScheduleLane(
-          crawler->coll_urls_.ShardOf(u.url.site), u.url, u.when, u.seq);
+      frontier.ScheduleLane(frontier.ShardOf(e.url.site), e.url, e.when,
+                            e.seq);
     }
-    crawler->coll_urls_.RestoreCounters(next_seq, front_when);
+    frontier.RestoreCounters(next_seq, front_when);
     return Status::Ok();
   }
 
@@ -1870,66 +1442,42 @@ struct CheckpointIo {
       const storage::DeltaSection* s = segment.FindSection(name);
       return s == nullptr ? nullptr : &s->bytes;
     };
-    for (const char* name : {"meta", "dcoll", "dallurls", "dupdate",
-                             "dfrontier", "polite", "tracker", "pending",
-                             "failure"}) {
+    for (const char* name :
+         {"meta", "dcoll", "dallurls", "dupdate", "dfrontier", "polite",
+          "tracker", "pending", "failure", "defense"}) {
       if (section(name) == nullptr) {
         return Status::InvalidArgument(
             "delta segment missing section '" + std::string(name) + "'");
       }
     }
+    const uint64_t sites = SiteLimit(crawler->web_);
     auto meta = ParseIncMeta(*section("meta"));
     if (!meta.ok()) return meta.status();
-    Status st = ApplyCollDelta(*section("dcoll"), crawler);
-    if (!st.ok()) return st;
-    st = ApplyAllUrlsDelta(*section("dallurls"), crawler);
-    if (!st.ok()) return st;
-    {
+    Status st = ApplyCollDelta(*section("dcoll"), sites, crawler);
+    if (st.ok()) st = ApplyAllUrlsDelta(*section("dallurls"), sites, crawler);
+    if (st.ok()) {
       std::istringstream in(*section("dupdate"));
-      st = ApplyUpdateModuleDelta(in, &crawler->update_module_);
-      if (!st.ok()) return st;
+      st = UpdateModuleIo::ApplyDelta(in, sites, &crawler->update_module_);
     }
-    st = ApplyFrontierDelta(*section("dfrontier"), crawler);
+    if (st.ok()) {
+      st = ApplyFrontierDelta(*section("dfrontier"), sites, crawler);
+    }
+    if (st.ok()) st = ReadTracker(*section("tracker"), &crawler->tracker_);
     if (!st.ok()) return st;
-    {
-      std::istringstream in(*section("polite"));
-      auto polite = ReadPolite(in);
-      if (!polite.ok()) return polite.status();
-      crawler->engine_.pool().RestorePoliteness(*polite);
-    }
-    {
-      std::istringstream in(*section("tracker"));
-      auto tracker = ReadTracker(in);
-      if (!tracker.ok()) return tracker.status();
-      crawler->tracker_.Clear();
-      for (std::size_t i = 0; i < tracker->times.size(); ++i) {
-        crawler->tracker_.AddSample(tracker->times[i],
-                                    tracker->values[i]);
-      }
-    }
-    {
-      std::istringstream in(*section("pending"));
-      auto pending = ReadUrlList(in);
-      if (!pending.ok()) return pending.status();
-      ApplyPending(*pending, crawler);
-    }
-    {
-      std::istringstream in(*section("failure"));
-      auto failure = ReadFailure(in);
-      if (!failure.ok()) return failure.status();
-      ApplyFailure(*failure, crawler);
-    }
-    // Optional like "traffic": delta logs sealed before the defense
-    // layer replay without it (the layer restarts from scratch).
-    if (const std::string* defense_bytes = section("defense")) {
-      std::istringstream in(*defense_bytes);
-      auto defense = ReadDefense(in);
-      if (!defense.ok()) return defense.status();
-      ApplyDefense(*defense, crawler);
-    }
+    auto polite = ReadPolite(*section("polite"), sites);
+    if (!polite.ok()) return polite.status();
+    crawler->engine_.pool().RestorePoliteness(*polite);
+    auto pending = ReadUrlList(*section("pending"), sites);
+    if (!pending.ok()) return pending.status();
+    ApplyPending(*pending, crawler);
+    auto failure = ReadFailure(*section("failure"), sites);
+    if (!failure.ok()) return failure.status();
+    ApplyFailure(*failure, crawler);
+    auto defense = ReadDefense(*section("defense"), sites);
+    if (!defense.ok()) return defense.status();
+    ApplyDefense(*defense, crawler);
     if (const std::string* traffic_bytes = section("traffic")) {
-      std::istringstream in(*traffic_bytes);
-      auto traffic = ReadTraffic(in);
+      auto traffic = ReadTraffic(*traffic_bytes);
       if (!traffic.ok()) return traffic.status();
       crawler->engine_.pool().RestoreTraffic(*traffic);
     }
@@ -1955,147 +1503,110 @@ struct CheckpointIo {
   }
 };
 
+namespace {
+
+// Serialises `web` with `save` (SaveWeb or SaveWebDelta) into a
+// section.
+template <typename Save>
+StatusOr<std::string> WebBytes(const simweb::SimulatedWeb& web, Save save) {
+  std::ostringstream os;
+  Status st = save(web, os);
+  if (!st.ok()) return st;
+  return os.str();
+}
+
+}  // namespace
+
 Status SaveCrawler(const IncrementalCrawler& crawler, std::ostream& out,
                    const CrawlerCheckpointOptions& options) {
   if (!crawler.engine_.quiescent()) {
     return Status::FailedPrecondition(
         "checkpoint requires a quiesced engine (batch boundary)");
   }
-  std::vector<Section> sections;
-  sections.push_back(Section{"meta", CheckpointIo::IncMeta(crawler)});
-  {
-    std::ostringstream os;
-    Status st = SaveCollection(crawler.collection_, os);
-    if (!st.ok()) return st;
-    sections.push_back(Section{"collection", os.str()});
-  }
-  {
-    std::ostringstream os;
-    Status st = SaveAllUrls(crawler.all_urls_, os);
-    if (!st.ok()) return st;
-    sections.push_back(Section{"allurls", os.str()});
-  }
-  {
-    std::ostringstream os;
-    Status st = SaveUpdateModule(crawler.update_module_, os);
-    if (!st.ok()) return st;
-    sections.push_back(Section{"update", os.str()});
-  }
-  {
-    std::ostringstream os;
-    Status st = SaveFrontier(crawler.coll_urls_, os);
-    if (!st.ok()) return st;
-    sections.push_back(Section{"frontier", os.str()});
-  }
-  {
-    std::ostringstream os;
-    WritePolite(crawler.engine_.pool().ExportPoliteness(), os);
-    sections.push_back(Section{"polite", os.str()});
-  }
-  {
-    std::ostringstream os;
-    WriteTracker(crawler.tracker_, os);
-    sections.push_back(Section{"tracker", os.str()});
-  }
-  sections.push_back(Section{"pending", CheckpointIo::Pending(crawler)});
-  sections.push_back(Section{"failure", CheckpointIo::Failure(crawler)});
-  sections.push_back(Section{"defense", CheckpointIo::Defense(crawler)});
+  std::vector<CheckpointSection> sections = {
+      {"meta", CheckpointIo::IncMeta(crawler)},
+      {"collection", CollectionBytes(crawler.collection_)},
+      {"allurls", AllUrlsBytes(crawler.all_urls_)},
+      {"update", UpdateModuleIo::FullBytes(crawler.update_module_)},
+      {"frontier", FrontierBytes(crawler.coll_urls_)},
+      {"polite", PoliteBytes(crawler.engine_.pool().ExportPoliteness())},
+      {"tracker", TrackerBytes(crawler.tracker_)},
+      {"pending", CheckpointIo::Pending(crawler)},
+      {"failure", CheckpointIo::Failure(crawler)},
+      {"defense", CheckpointIo::Defense(crawler)}};
   if (options.module_traffic) {
-    std::ostringstream os;
-    WriteTraffic(crawler.engine_.pool().AggregateTraffic(), os);
-    sections.push_back(Section{"traffic", os.str()});
+    sections.push_back(
+        {"traffic", TrafficBytes(crawler.engine_.pool().AggregateTraffic())});
   }
   if (options.include_web) {
-    std::ostringstream os;
-    Status st = simweb::SaveWeb(*crawler.web_, os);
-    if (!st.ok()) return st;
-    sections.push_back(Section{"web", os.str()});
+    auto web = WebBytes(*crawler.web_, simweb::SaveWeb);
+    if (!web.ok()) return web.status();
+    sections.push_back({"web", std::move(web).value()});
   }
   return WriteContainer(kIncrementalKind, sections, out);
 }
 
 Status LoadCrawler(std::istream& in, IncrementalCrawler* crawler) {
-  auto sections = ReadContainer(in, kIncrementalKind);
-  if (!sections.ok()) return sections.status();
-  for (const char* name :
-       {"meta", "collection", "allurls", "update", "frontier", "polite",
-        "tracker", "pending"}) {
-    if (FindSection(*sections, name) == nullptr) {
-      return MissingSection(name);
-    }
-  }
+  auto container = ReadCrawlerContainer(in, kIncrementalKind);
+  if (!container.ok()) return container.status();
+  const std::vector<CheckpointSection>& sections = container->sections;
+  Status st = RequireSections(
+      sections, {"meta", "collection", "allurls", "update", "frontier",
+                 "polite", "tracker", "pending", "failure", "defense"});
+  if (!st.ok()) return st;
+  auto stream = [&](const char* name) {
+    return std::istringstream(*FindSection(sections, name));
+  };
 
   // --- Parse every section into staging state; nothing in `crawler`
   // (or its web) is touched until the whole checkpoint has verified.
-  auto meta = CheckpointIo::ParseIncMeta(*FindSection(*sections, "meta"));
-  if (!meta.ok()) return meta.status();
-
+  const uint64_t sites = SiteLimit(crawler->web_);
   const int shards = crawler->engine_.num_shards();
-  std::istringstream coll_in(*FindSection(*sections, "collection"));
-  auto collection = LoadShardedCollection(coll_in, shards);
+  auto meta = CheckpointIo::ParseIncMeta(*FindSection(sections, "meta"));
+  if (!meta.ok()) return meta.status();
+  std::istringstream coll_in = stream("collection");
+  auto collection = ReadCollection<ShardedCollection>(coll_in, sites, shards);
   if (!collection.ok()) return collection.status();
   if (collection->capacity() != crawler->config_.collection_capacity) {
     return Status::InvalidArgument(
         "checkpoint collection capacity does not match the configured "
         "capacity");
   }
-  std::istringstream urls_in(*FindSection(*sections, "allurls"));
-  auto all_urls = LoadAllUrls(urls_in, shards);
+  std::istringstream urls_in = stream("allurls");
+  auto all_urls = ReadAllUrls(urls_in, shards, sites);
   if (!all_urls.ok()) return all_urls.status();
   UpdateModule update(crawler->update_module_.config());
-  {
-    std::istringstream update_in(*FindSection(*sections, "update"));
-    Status st = LoadUpdateModule(update_in, &update);
-    if (!st.ok()) return st;
-  }
-  std::istringstream frontier_in(*FindSection(*sections, "frontier"));
-  auto frontier = LoadFrontier(frontier_in, shards);
+  std::istringstream update_in = stream("update");
+  st = UpdateModuleIo::Load(update_in, sites, &update);
+  if (!st.ok()) return st;
+  std::istringstream frontier_in = stream("frontier");
+  auto frontier = ReadFrontier(frontier_in, shards, sites);
   if (!frontier.ok()) return frontier.status();
-  std::istringstream polite_in(*FindSection(*sections, "polite"));
-  auto polite = ReadPolite(polite_in);
+  auto polite = ReadPolite(*FindSection(sections, "polite"), sites);
   if (!polite.ok()) return polite.status();
-  std::istringstream tracker_in(*FindSection(*sections, "tracker"));
-  auto tracker = ReadTracker(tracker_in);
-  if (!tracker.ok()) return tracker.status();
-  std::istringstream pending_in(*FindSection(*sections, "pending"));
-  auto pending = ReadUrlList(pending_in);
+  freshness::FreshnessTracker tracker;
+  st = ReadTracker(*FindSection(sections, "tracker"), &tracker);
+  if (!st.ok()) return st;
+  auto pending = ReadUrlList(*FindSection(sections, "pending"), sites);
   if (!pending.ok()) return pending.status();
-  // Failure state is optional-on-load: pre-failure-pipeline
-  // checkpoints simply restart backoff/quarantine tracking from
-  // scratch.
-  FailureSnapshot failure;
-  if (const std::string* f = FindSection(*sections, "failure")) {
-    std::istringstream failure_in(*f);
-    auto snap = ReadFailure(failure_in);
-    if (!snap.ok()) return snap.status();
-    failure = std::move(snap).value();
-  }
-  // Defense state is optional-on-load for the same reason: pre-defense
-  // checkpoints restart the throttle machines and the fingerprint
-  // registry from scratch.
-  DefenseSnapshot defense;
-  if (const std::string* d = FindSection(*sections, "defense")) {
-    std::istringstream defense_in(*d);
-    auto snap = ReadDefense(defense_in);
-    if (!snap.ok()) return snap.status();
-    defense = std::move(snap).value();
-  }
-  // Traffic is optional-on-load too: checkpoints written without
-  // module_traffic (and every pre-traffic checkpoint) restore with the
-  // historical semantics — accounting restarts from zero.
+  auto failure = ReadFailure(*FindSection(sections, "failure"), sites);
+  if (!failure.ok()) return failure.status();
+  auto defense = ReadDefense(*FindSection(sections, "defense"), sites);
+  if (!defense.ok()) return defense.status();
+  // Traffic is optional: checkpoints written without module_traffic
+  // restore with accounting restarted from zero.
   std::optional<CrawlModulePool::Traffic> traffic;
-  if (const std::string* t = FindSection(*sections, "traffic")) {
-    std::istringstream traffic_in(*t);
-    auto parsed = ReadTraffic(traffic_in);
+  if (const std::string* t = FindSection(sections, "traffic")) {
+    auto parsed = ReadTraffic(*t);
     if (!parsed.ok()) return parsed.status();
     traffic = std::move(parsed).value();
   }
 
   // The web restore stages and validates internally, so a bad web
   // section fails here with the crawler still untouched.
-  if (const std::string* web = FindSection(*sections, "web")) {
-    std::istringstream web_in(*web);
-    Status st = simweb::RestoreWeb(web_in, crawler->web_);
+  if (FindSection(sections, "web") != nullptr) {
+    std::istringstream web_in = stream("web");
+    st = simweb::RestoreWeb(web_in, crawler->web_);
     if (!st.ok()) return st;
   }
 
@@ -2108,13 +1619,10 @@ Status LoadCrawler(std::istream& in, IncrementalCrawler* crawler) {
   crawler->update_module_ = std::move(update);
   crawler->coll_urls_ = std::move(frontier).value();
   crawler->engine_.pool().RestorePoliteness(*polite);
-  crawler->tracker_.Clear();
-  for (std::size_t i = 0; i < tracker->times.size(); ++i) {
-    crawler->tracker_.AddSample(tracker->times[i], tracker->values[i]);
-  }
+  crawler->tracker_ = std::move(tracker);
   CheckpointIo::ApplyPending(*pending, crawler);
-  CheckpointIo::ApplyFailure(failure, crawler);
-  CheckpointIo::ApplyDefense(defense, crawler);
+  CheckpointIo::ApplyFailure(*failure, crawler);
+  CheckpointIo::ApplyDefense(*defense, crawler);
   if (traffic.has_value()) {
     crawler->engine_.pool().RestoreTraffic(*traffic);
   }
@@ -2144,207 +1652,124 @@ Status SaveCrawler(const PeriodicCrawler& crawler, std::ostream& out,
     return Status::FailedPrecondition(
         "checkpoint requires a quiesced engine (batch boundary)");
   }
-  std::vector<Section> sections;
+  std::string meta;
   {
-    std::ostringstream os;
-    TrailerWriter writer(os);
-    {
-      std::ostringstream header;
-      header << kPerMetaMagic << ' ' << kPerMetaVersion;
-      writer.Line(header.str());
-    }
-    {
-      std::ostringstream t;
-      t.precision(17);
-      t << "T " << crawler.now_ << ' ' << crawler.cycle_start_ << ' '
-        << crawler.next_sample_;
-      writer.Line(t.str());
-    }
-    {
-      std::ostringstream b;
-      b << "B " << crawler.batches_completed_ << ' '
-        << (crawler.cycle_active_ ? 1 : 0) << ' '
-        << crawler.cycles_completed_ << ' ' << crawler.stored_this_cycle_
-        << ' ' << crawler.store_.swap_count() << ' '
-        << (crawler.config_.shadowing ? 1 : 0);
-      writer.Line(b.str());
-    }
-    {
-      const PeriodicCrawler::Stats& s = crawler.stats_;
-      std::ostringstream c;
-      c << "C " << s.crawls << ' ' << s.pages_stored << ' '
-        << s.dead_fetches << ' ' << s.politeness_rejections << ' '
-        << s.swaps << ' ' << s.fetch_failures << ' '
-        << s.transient_errors << ' ' << s.timeout_errors << ' '
-        << s.failure_retries << ' ' << s.failures_dropped;
-      writer.Line(c.str());
-    }
-    writer.Finish();
-    sections.push_back(Section{"meta", os.str()});
+    const PeriodicCrawler::Stats& s = crawler.stats_;
+    RecordWriter w(&meta);
+    w.Begin(kPerMetaMagic).Put(kPerMetaVersion);
+    w.End();
+    w.Begin("T").Put(crawler.now_, crawler.cycle_start_,
+                     crawler.next_sample_);
+    w.End();
+    w.Begin("B").Put(crawler.batches_completed_, crawler.cycle_active_,
+                     crawler.cycles_completed_, crawler.stored_this_cycle_,
+                     crawler.store_.swap_count(), crawler.config_.shadowing);
+    w.End();
+    w.Begin("C").Put(s.crawls, s.pages_stored, s.dead_fetches,
+                     s.politeness_rejections, s.swaps, s.fetch_failures,
+                     s.transient_errors, s.timeout_errors,
+                     s.failure_retries, s.failures_dropped);
+    w.End();
+    w.Finish();
   }
-  {
-    std::ostringstream os;
-    Status st = SaveCollection(crawler.config_.shadowing
-                                   ? crawler.store_.current()
-                                   : crawler.inplace_,
-                               os);
-    if (!st.ok()) return st;
-    sections.push_back(Section{"collection-current", os.str()});
-  }
+  std::vector<CheckpointSection> sections;
+  sections.push_back({"meta", std::move(meta)});
+  sections.push_back(
+      {"collection-current", CollectionBytes(crawler.config_.shadowing
+                                                 ? crawler.store_.current()
+                                                 : crawler.inplace_)});
   if (crawler.config_.shadowing) {
-    std::ostringstream os;
-    Status st = SaveCollection(crawler.store_.shadow(), os);
-    if (!st.ok()) return st;
-    sections.push_back(Section{"collection-shadow", os.str()});
+    sections.push_back(
+        {"collection-shadow", CollectionBytes(crawler.store_.shadow())});
   }
-  {
-    std::vector<simweb::Url> bfs(crawler.frontier_.begin(),
-                                 crawler.frontier_.end());
-    std::ostringstream os;
-    WriteUrlList(bfs, os);
-    sections.push_back(Section{"bfs", os.str()});
-  }
+  sections.push_back({"bfs", UrlListBytes(std::vector<simweb::Url>(
+                                 crawler.frontier_.begin(),
+                                 crawler.frontier_.end()))});
   {
     std::vector<simweb::Url> seen;
     for (const auto& shard : crawler.seen_shards_) {
       seen.insert(seen.end(), shard.begin(), shard.end());
     }
     std::sort(seen.begin(), seen.end(), IdentityLess);
-    std::ostringstream os;
-    WriteUrlList(seen, os);
-    sections.push_back(Section{"seen", os.str()});
+    sections.push_back({"seen", UrlListBytes(seen)});
   }
-  {
-    std::ostringstream os;
-    WritePolite(crawler.engine_.pool().ExportPoliteness(), os);
-    sections.push_back(Section{"polite", os.str()});
-  }
-  {
-    std::ostringstream os;
-    WriteTracker(crawler.tracker_, os);
-    sections.push_back(Section{"tracker", os.str()});
-  }
+  sections.push_back(
+      {"polite", PoliteBytes(crawler.engine_.pool().ExportPoliteness())});
+  sections.push_back({"tracker", TrackerBytes(crawler.tracker_)});
   {
     // The cycle's bounded-requeue ledger; sites are unused here (the
     // periodic crawler has no backoff lanes) but the section format is
     // shared with the incremental crawler.
     FailureSnapshot snap;
-    snap.urls.reserve(crawler.requeue_counts_.size());
     for (const auto& [url, count] : crawler.requeue_counts_) {
       snap.urls.push_back(UrlFailureRecord{url, count});
     }
-    std::sort(snap.urls.begin(), snap.urls.end(),
-              [](const UrlFailureRecord& a, const UrlFailureRecord& b) {
-                return IdentityLess(a.url, b.url);
-              });
-    std::ostringstream os;
-    WriteFailure(snap, os);
-    sections.push_back(Section{"failure", os.str()});
+    sections.push_back({"failure", FailureBytes(std::move(snap))});
   }
   if (options.module_traffic) {
-    std::ostringstream os;
-    WriteTraffic(crawler.engine_.pool().AggregateTraffic(), os);
-    sections.push_back(Section{"traffic", os.str()});
+    sections.push_back(
+        {"traffic", TrafficBytes(crawler.engine_.pool().AggregateTraffic())});
   }
   if (options.include_web) {
-    std::ostringstream os;
-    Status st = simweb::SaveWeb(*crawler.web_, os);
-    if (!st.ok()) return st;
-    sections.push_back(Section{"web", os.str()});
+    auto web = WebBytes(*crawler.web_, simweb::SaveWeb);
+    if (!web.ok()) return web.status();
+    sections.push_back({"web", std::move(web).value()});
   }
   return WriteContainer(kPeriodicKind, sections, out);
 }
 
 Status LoadCrawler(std::istream& in, PeriodicCrawler* crawler) {
-  auto sections = ReadContainer(in, kPeriodicKind);
-  if (!sections.ok()) return sections.status();
-  for (const char* name : {"meta", "collection-current", "bfs", "seen",
-                           "polite", "tracker"}) {
-    if (FindSection(*sections, name) == nullptr) {
-      return MissingSection(name);
-    }
-  }
+  auto container = ReadCrawlerContainer(in, kPeriodicKind);
+  if (!container.ok()) return container.status();
+  const std::vector<CheckpointSection>& sections = container->sections;
+  Status st = RequireSections(sections, {"meta", "collection-current", "bfs",
+                                         "seen", "polite", "tracker",
+                                         "failure"});
+  if (!st.ok()) return st;
+  auto stream = [&](const char* name) {
+    return std::istringstream(*FindSection(sections, name));
+  };
+  const uint64_t sites = SiteLimit(crawler->web_);
 
   double now = 0.0, cycle_start = 0.0, next_sample = 0.0;
   uint64_t batches_completed = 0, stored_this_cycle = 0;
-  int cycle_active = 0, shadowing = 0;
+  bool cycle_active = false, shadowing = false;
   int64_t cycles_completed = 0, swap_count = 0;
-  int meta_version = 0;
   PeriodicCrawler::Stats stats;
   {
-    std::istringstream ms(*FindSection(*sections, "meta"));
-    TrailerReader reader(ms);
-    auto header = reader.Next();
-    if (!header.ok()) return header.status();
-    {
-      std::istringstream hs(*header);
-      std::string magic;
-      hs >> magic >> meta_version;
-      // Version-1 metas (pre-failure-ledger) stay loadable: their C
-      // record lacks the failure counters, which restart at zero.
-      if (hs.fail() || magic != kPerMetaMagic || meta_version < 1 ||
-          meta_version > kPerMetaVersion) {
-        return Status::InvalidArgument("malformed checkpoint meta header");
-      }
-      Status end = ExpectLineEnd(hs, "meta header");
-      if (!end.ok()) return end;
+    std::istringstream meta_in = stream("meta");
+    RecordReader r(meta_in, "checkpoint meta");
+    st = r.ReadHeader(kPerMetaMagic, kPerMetaVersion);
+    if (st.ok()) {
+      st = r.ReadRecords(1, "T", [&](RecordCursor& c) {
+        c.Get(&now, &cycle_start, &next_sample);
+      });
     }
-    auto t_line = reader.Next();
-    if (!t_line.ok()) return t_line.status();
-    {
-      std::istringstream is(*t_line);
-      std::string tag;
-      is >> tag >> now >> cycle_start >> next_sample;
-      if (is.fail() || tag != "T") {
-        return Status::InvalidArgument("malformed checkpoint T record");
-      }
-      Status end = ExpectLineEnd(is, "T");
-      if (!end.ok()) return end;
+    if (st.ok()) {
+      st = r.ReadRecords(1, "B", [&](RecordCursor& c) {
+        c.Get(&batches_completed, &cycle_active, &cycles_completed,
+              &stored_this_cycle, &swap_count, &shadowing);
+      });
     }
-    auto b_line = reader.Next();
-    if (!b_line.ok()) return b_line.status();
-    {
-      std::istringstream is(*b_line);
-      std::string tag;
-      is >> tag >> batches_completed >> cycle_active >>
-          cycles_completed >> stored_this_cycle >> swap_count >>
-          shadowing;
-      if (is.fail() || tag != "B") {
-        return Status::InvalidArgument("malformed checkpoint B record");
-      }
-      Status end = ExpectLineEnd(is, "B");
-      if (!end.ok()) return end;
+    if (st.ok()) {
+      st = r.ReadRecords(1, "C", [&](RecordCursor& c) {
+        c.Get(&stats.crawls, &stats.pages_stored, &stats.dead_fetches,
+              &stats.politeness_rejections, &stats.swaps,
+              &stats.fetch_failures, &stats.transient_errors,
+              &stats.timeout_errors, &stats.failure_retries,
+              &stats.failures_dropped);
+      });
     }
-    auto c_line = reader.Next();
-    if (!c_line.ok()) return c_line.status();
-    {
-      std::istringstream is(*c_line);
-      std::string tag;
-      is >> tag >> stats.crawls >> stats.pages_stored >>
-          stats.dead_fetches >> stats.politeness_rejections >>
-          stats.swaps;
-      if (meta_version >= 2) {
-        is >> stats.fetch_failures >> stats.transient_errors >>
-            stats.timeout_errors >> stats.failure_retries >>
-            stats.failures_dropped;
-      }
-      if (is.fail() || tag != "C") {
-        return Status::InvalidArgument("malformed checkpoint C record");
-      }
-      Status end = ExpectLineEnd(is, "C");
-      if (!end.ok()) return end;
-    }
-    Status end = FinishFramedStream(reader, ms, "checkpoint meta");
-    if (!end.ok()) return end;
+    if (st.ok()) st = r.Finish();
+    if (!st.ok()) return st;
   }
-  if ((shadowing != 0) != crawler->config_.shadowing) {
+  if (shadowing != crawler->config_.shadowing) {
     return Status::InvalidArgument(
         "checkpoint shadowing mode does not match the configuration");
   }
 
-  std::istringstream current_in(
-      *FindSection(*sections, "collection-current"));
-  auto current = LoadCollection(current_in);
+  std::istringstream current_in = stream("collection-current");
+  auto current = ReadCollection<Collection>(current_in, sites, 1);
   if (!current.ok()) return current.status();
   if (current->capacity() != crawler->config_.collection_capacity) {
     return Status::InvalidArgument(
@@ -2353,44 +1778,33 @@ Status LoadCrawler(std::istream& in, PeriodicCrawler* crawler) {
   }
   StatusOr<Collection> shadow = Collection(0);
   if (crawler->config_.shadowing) {
-    const std::string* bytes = FindSection(*sections, "collection-shadow");
-    if (bytes == nullptr) return MissingSection("collection-shadow");
-    std::istringstream shadow_in(*bytes);
-    shadow = LoadCollection(shadow_in);
+    st = RequireSections(sections, {"collection-shadow"});
+    if (!st.ok()) return st;
+    std::istringstream shadow_in = stream("collection-shadow");
+    shadow = ReadCollection<Collection>(shadow_in, sites, 1);
     if (!shadow.ok()) return shadow.status();
   }
-  std::istringstream bfs_in(*FindSection(*sections, "bfs"));
-  auto bfs = ReadUrlList(bfs_in);
+  auto bfs = ReadUrlList(*FindSection(sections, "bfs"), sites);
   if (!bfs.ok()) return bfs.status();
-  std::istringstream seen_in(*FindSection(*sections, "seen"));
-  auto seen = ReadUrlList(seen_in);
+  auto seen = ReadUrlList(*FindSection(sections, "seen"), sites);
   if (!seen.ok()) return seen.status();
-  std::istringstream polite_in(*FindSection(*sections, "polite"));
-  auto polite = ReadPolite(polite_in);
+  auto polite = ReadPolite(*FindSection(sections, "polite"), sites);
   if (!polite.ok()) return polite.status();
-  std::istringstream tracker_in(*FindSection(*sections, "tracker"));
-  auto tracker = ReadTracker(tracker_in);
-  if (!tracker.ok()) return tracker.status();
-  // Optional, as on the incremental crawler: older checkpoints simply
-  // restart the cycle's requeue ledger from scratch.
-  FailureSnapshot failure;
-  if (const std::string* f = FindSection(*sections, "failure")) {
-    std::istringstream failure_in(*f);
-    auto snap = ReadFailure(failure_in);
-    if (!snap.ok()) return snap.status();
-    failure = std::move(snap).value();
-  }
+  freshness::FreshnessTracker tracker;
+  st = ReadTracker(*FindSection(sections, "tracker"), &tracker);
+  if (!st.ok()) return st;
+  auto failure = ReadFailure(*FindSection(sections, "failure"), sites);
+  if (!failure.ok()) return failure.status();
   // Optional traffic aggregate, as on the incremental crawler.
   std::optional<CrawlModulePool::Traffic> traffic;
-  if (const std::string* t = FindSection(*sections, "traffic")) {
-    std::istringstream traffic_in(*t);
-    auto parsed = ReadTraffic(traffic_in);
+  if (const std::string* t = FindSection(sections, "traffic")) {
+    auto parsed = ReadTraffic(*t);
     if (!parsed.ok()) return parsed.status();
     traffic = std::move(parsed).value();
   }
-  if (const std::string* web = FindSection(*sections, "web")) {
-    std::istringstream web_in(*web);
-    Status st = simweb::RestoreWeb(web_in, crawler->web_);
+  if (FindSection(sections, "web") != nullptr) {
+    std::istringstream web_in = stream("web");
+    st = simweb::RestoreWeb(web_in, crawler->web_);
     if (!st.ok()) return st;
   }
 
@@ -2414,19 +1828,16 @@ Status LoadCrawler(std::istream& in, PeriodicCrawler* crawler) {
   if (traffic.has_value()) {
     crawler->engine_.pool().RestoreTraffic(*traffic);
   }
-  crawler->tracker_.Clear();
-  for (std::size_t i = 0; i < tracker->times.size(); ++i) {
-    crawler->tracker_.AddSample(tracker->times[i], tracker->values[i]);
-  }
+  crawler->tracker_ = std::move(tracker);
   crawler->stats_ = stats;
   crawler->requeue_counts_.clear();
-  for (const UrlFailureRecord& r : failure.urls) {
+  for (const UrlFailureRecord& r : failure->urls) {
     crawler->requeue_counts_.emplace(r.url, r.count);
   }
   crawler->now_ = now;
   crawler->cycle_start_ = cycle_start;
   crawler->next_sample_ = next_sample;
-  crawler->cycle_active_ = cycle_active != 0;
+  crawler->cycle_active_ = cycle_active;
   crawler->cycles_completed_ = cycles_completed;
   crawler->stored_this_cycle_ = stored_this_cycle;
   crawler->batches_completed_ = batches_completed;
@@ -2476,272 +1887,6 @@ Status LoadCrawlerFromFile(const std::string& path,
   return LoadCrawler(in, crawler);
 }
 
-Status SaveUpdateModuleDelta(const UpdateModule& module,
-                             std::ostream& out) {
-  if (!module.dirty_tracking_) {
-    return Status::FailedPrecondition(
-        "update-module delta requires dirty tracking");
-  }
-  std::set<simweb::Url, simweb::UrlIdentityLess> dirty_pages;
-  std::set<uint32_t> dirty_sites, dirty_rngs;
-  module.AppendDirty(&dirty_pages, &dirty_sites, &dirty_rngs);
-
-  // Partition the dirty pages: still tracked -> full P record, gone
-  // (Forget) -> X tombstone. The std::sets are already in canonical
-  // order.
-  std::vector<std::string> page_lines;
-  std::vector<simweb::Url> tombstones;
-  for (const simweb::Url& url : dirty_pages) {
-    const auto& shard = module.page_shards_[module.ShardOf(url.site)];
-    auto it = shard.find(url);
-    if (it == shard.end()) {
-      tombstones.push_back(url);
-      continue;
-    }
-    const UpdateModule::PageState& state = it->second;
-    std::ostringstream os;
-    os.precision(17);
-    std::vector<double> est_state;
-    if (state.estimator != nullptr) {
-      est_state = state.estimator->SaveState();
-    }
-    os << "P " << url.site << ' ' << url.slot << ' ' << url.incarnation
-       << ' ' << state.last_visit << ' ' << (state.visited ? 1 : 0)
-       << ' ' << state.importance << ' '
-       << (state.probing_abandonment ? 1 : 0) << ' ' << est_state.size();
-    for (double v : est_state) os << ' ' << v;
-    page_lines.push_back(os.str());
-  }
-  // Site aggregates and probe RNG streams are never erased, so their
-  // deltas are upserts only (a dirty key that vanished — impossible
-  // today — would simply be skipped).
-  std::vector<std::string> site_lines;
-  for (uint32_t site : dirty_sites) {
-    const auto& shard = module.site_shards_[module.ShardOf(site)];
-    auto it = shard.find(site);
-    if (it == shard.end()) continue;
-    std::ostringstream os;
-    os.precision(17);
-    std::vector<double> est_state = it->second->SaveState();
-    os << "S " << site << ' ' << est_state.size();
-    for (double v : est_state) os << ' ' << v;
-    site_lines.push_back(os.str());
-  }
-  std::vector<std::string> rng_lines;
-  for (uint32_t site : dirty_rngs) {
-    const auto& shard = module.rng_shards_[module.ShardOf(site)];
-    auto it = shard.find(site);
-    if (it == shard.end()) continue;
-    std::ostringstream os;
-    os << "R " << site;
-    for (uint64_t lane : it->second.State()) os << ' ' << lane;
-    rng_lines.push_back(os.str());
-  }
-
-  TrailerWriter writer(out);
-  std::ostringstream header;
-  header << kUpdateDeltaMagic << ' ' << kFormatVersion << ' '
-         << estimator::EstimatorKindName(module.config_.estimator_kind)
-         << ' ' << page_lines.size() << ' ' << tombstones.size() << ' '
-         << site_lines.size() << ' ' << rng_lines.size();
-  writer.Line(header.str());
-  {
-    // The scheduling globals are cheap scalars; the delta carries them
-    // absolutely (they change on every rebalance).
-    std::ostringstream os;
-    os.precision(17);
-    os << "G " << module.multiplier_ << ' ' << module.total_rate_ << ' '
-       << module.mean_importance_ << ' ' << module.rebalance_count_
-       << ' ' << module.frozen_page_count_;
-    writer.Line(os.str());
-  }
-  for (const std::string& line : page_lines) writer.Line(line);
-  for (const simweb::Url& url : tombstones) {
-    std::ostringstream os;
-    os << "X " << url.site << ' ' << url.slot << ' ' << url.incarnation;
-    writer.Line(os.str());
-  }
-  for (const std::string& line : site_lines) writer.Line(line);
-  for (const std::string& line : rng_lines) writer.Line(line);
-  writer.Finish();
-  if (!out.good()) return Status::Internal("snapshot write failed");
-  return Status::Ok();
-}
-
-Status ApplyUpdateModuleDelta(std::istream& in, UpdateModule* module) {
-  TrailerReader reader(in);
-  auto header = reader.Next();
-  if (!header.ok()) return header.status();
-  std::istringstream hs(*header);
-  std::string magic, kind;
-  int version = 0;
-  std::size_t npages = 0, ntombstones = 0, nsites = 0, nrngs = 0;
-  hs >> magic >> version >> kind >> npages >> ntombstones >> nsites >>
-      nrngs;
-  if (hs.fail() || magic != kUpdateDeltaMagic ||
-      version != kFormatVersion) {
-    return Status::InvalidArgument("not an UpdateModule delta");
-  }
-  Status header_end = ExpectLineEnd(hs, "dupdate header");
-  if (!header_end.ok()) return header_end;
-  if (kind !=
-      estimator::EstimatorKindName(module->config_.estimator_kind)) {
-    return Status::InvalidArgument(
-        "delta estimator kind '" + kind +
-        "' does not match the module's configuration");
-  }
-
-  // Stage everything — including estimator reconstruction, which can
-  // fail — before the first mutation, so a malformed delta leaves the
-  // module untouched.
-  double multiplier = 0.0, total_rate = 0.0, mean_importance = 0.0;
-  int64_t rebalance_count = 0;
-  std::size_t frozen_pages = 0;
-  {
-    auto g_line = reader.Next();
-    if (!g_line.ok()) return Status::InvalidArgument("missing G record");
-    std::istringstream is(*g_line);
-    std::string tag;
-    is >> tag >> multiplier >> total_rate >> mean_importance >>
-        rebalance_count >> frozen_pages;
-    if (is.fail() || tag != "G") {
-      return Status::InvalidArgument("malformed G record");
-    }
-    Status record_end = ExpectLineEnd(is, "G");
-    if (!record_end.ok()) return record_end;
-  }
-  std::vector<std::pair<simweb::Url, UpdateModule::PageState>> pages;
-  pages.reserve(std::min<std::size_t>(npages, 1 << 20));
-  for (std::size_t i = 0; i < npages; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("dupdate page count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
-    simweb::Url url;
-    double last_visit = 0.0, importance = 0.0;
-    int visited = 0, probing = 0;
-    std::size_t nstate = 0;
-    is >> tag >> url.site >> url.slot >> url.incarnation >> last_visit >>
-        visited >> importance >> probing >> nstate;
-    if (is.fail() || tag != "P" || nstate > kMaxEstimatorState) {
-      return Status::InvalidArgument("malformed page record");
-    }
-    std::vector<double> est_state(nstate);
-    for (double& v : est_state) is >> v;
-    if (is.fail()) {
-      return Status::InvalidArgument("malformed page estimator state");
-    }
-    Status record_end = ExpectLineEnd(is, "page");
-    if (!record_end.ok()) return record_end;
-    UpdateModule::PageState state;
-    state.last_visit = last_visit;
-    state.visited = visited != 0;
-    state.importance = importance;
-    state.probing_abandonment = probing != 0;
-    if (!est_state.empty()) {
-      state.estimator =
-          estimator::MakeEstimator(module->config_.estimator_kind);
-      Status st = state.estimator->RestoreState(est_state);
-      if (!st.ok()) return st;
-    }
-    pages.emplace_back(url, std::move(state));
-  }
-  std::vector<simweb::Url> tombstones;
-  tombstones.reserve(std::min<std::size_t>(ntombstones, 1 << 20));
-  for (std::size_t i = 0; i < ntombstones; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("dupdate tombstone count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
-    simweb::Url url;
-    is >> tag >> url.site >> url.slot >> url.incarnation;
-    if (is.fail() || tag != "X") {
-      return Status::InvalidArgument("malformed dupdate tombstone");
-    }
-    Status record_end = ExpectLineEnd(is, "dupdate tombstone");
-    if (!record_end.ok()) return record_end;
-    tombstones.push_back(url);
-  }
-  std::vector<
-      std::pair<uint32_t, std::unique_ptr<estimator::ChangeEstimator>>>
-      site_estimators;
-  site_estimators.reserve(std::min<std::size_t>(nsites, 1 << 20));
-  for (std::size_t i = 0; i < nsites; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("dupdate site count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
-    uint32_t site = 0;
-    std::size_t nstate = 0;
-    is >> tag >> site >> nstate;
-    if (is.fail() || tag != "S" || nstate > kMaxEstimatorState) {
-      return Status::InvalidArgument("malformed site record");
-    }
-    std::vector<double> est_state(nstate);
-    for (double& v : est_state) is >> v;
-    if (is.fail()) {
-      return Status::InvalidArgument("malformed site estimator state");
-    }
-    Status record_end = ExpectLineEnd(is, "site");
-    if (!record_end.ok()) return record_end;
-    auto est = estimator::MakeEstimator(module->config_.estimator_kind);
-    Status st = est->RestoreState(est_state);
-    if (!st.ok()) return st;
-    site_estimators.emplace_back(site, std::move(est));
-  }
-  std::vector<std::pair<uint32_t, Rng>> rngs;
-  rngs.reserve(std::min<std::size_t>(nrngs, 1 << 20));
-  for (std::size_t i = 0; i < nrngs; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) {
-      return Status::InvalidArgument("dupdate rng count mismatch");
-    }
-    std::istringstream is(*line);
-    std::string tag;
-    uint32_t site = 0;
-    std::array<uint64_t, 4> lanes{};
-    is >> tag >> site >> lanes[0] >> lanes[1] >> lanes[2] >> lanes[3];
-    if (is.fail() || tag != "R") {
-      return Status::InvalidArgument("malformed rng record");
-    }
-    Status record_end = ExpectLineEnd(is, "rng");
-    if (!record_end.ok()) return record_end;
-    Rng rng(0);
-    rng.SetState(lanes);
-    rngs.emplace_back(site, rng);
-  }
-  Status end = FinishFramedStream(reader, in, "update delta");
-  if (!end.ok()) return end;
-
-  // --- Commit.
-  module->multiplier_ = multiplier;
-  module->total_rate_ = total_rate;
-  module->mean_importance_ = mean_importance;
-  module->rebalance_count_ = rebalance_count;
-  module->frozen_page_count_ = frozen_pages;
-  for (const simweb::Url& url : tombstones) {
-    module->page_shards_[module->ShardOf(url.site)].erase(url);
-  }
-  for (auto& [url, state] : pages) {
-    module->page_shards_[module->ShardOf(url.site)][url] =
-        std::move(state);
-  }
-  for (auto& [site, est] : site_estimators) {
-    module->site_shards_[module->ShardOf(site)][site] = std::move(est);
-  }
-  for (const auto& [site, rng] : rngs) {
-    module->rng_shards_[module->ShardOf(site)].insert_or_assign(site,
-                                                                rng);
-  }
-  return Status::Ok();
-}
-
 Status CheckpointIncremental(IncrementalCrawler* crawler,
                              const std::string& path,
                              const CrawlerCheckpointOptions& options) {
@@ -2772,49 +1917,30 @@ Status CheckpointIncremental(IncrementalCrawler* crawler,
   storage::DeltaSegment segment;
   segment.kind = kIncrementalKind;
   segment.batch = crawler->batches_completed_;
-  segment.sections.push_back(
-      storage::DeltaSection{"meta", CheckpointIo::IncMeta(*crawler)});
-  segment.sections.push_back(
-      storage::DeltaSection{"dcoll", CheckpointIo::CollDelta(*crawler)});
-  segment.sections.push_back(storage::DeltaSection{
-      "dallurls", CheckpointIo::AllUrlsDelta(*crawler)});
-  {
-    std::ostringstream os;
-    Status st = SaveUpdateModuleDelta(crawler->update_module_, os);
-    if (!st.ok()) return st;
-    segment.sections.push_back(storage::DeltaSection{"dupdate", os.str()});
-  }
-  segment.sections.push_back(storage::DeltaSection{
-      "dfrontier", CheckpointIo::FrontierDelta(*crawler)});
-  {
-    std::ostringstream os;
-    WritePolite(crawler->engine_.pool().ExportPoliteness(), os);
-    segment.sections.push_back(storage::DeltaSection{"polite", os.str()});
-  }
-  {
-    std::ostringstream os;
-    WriteTracker(crawler->tracker_, os);
-    segment.sections.push_back(storage::DeltaSection{"tracker", os.str()});
-  }
-  segment.sections.push_back(
-      storage::DeltaSection{"pending", CheckpointIo::Pending(*crawler)});
-  segment.sections.push_back(
-      storage::DeltaSection{"failure", CheckpointIo::Failure(*crawler)});
-  // The defense section rides every segment whole (like "failure"):
-  // the throttle machines are tiny and the fingerprint registry grows
-  // with *distinct content*, a small multiple of the collection.
-  segment.sections.push_back(
-      storage::DeltaSection{"defense", CheckpointIo::Defense(*crawler)});
+  // The cheap whole-state sections ride every segment verbatim; the
+  // defense section too, since its throttle machines are tiny and the
+  // fingerprint registry grows with *distinct content*, a small
+  // multiple of the collection.
+  segment.sections = {
+      {"meta", CheckpointIo::IncMeta(*crawler)},
+      {"dcoll", CheckpointIo::CollDelta(*crawler)},
+      {"dallurls", CheckpointIo::AllUrlsDelta(*crawler)},
+      {"dupdate", UpdateModuleIo::DeltaBytes(crawler->update_module_)},
+      {"dfrontier", CheckpointIo::FrontierDelta(*crawler)},
+      {"polite", PoliteBytes(crawler->engine_.pool().ExportPoliteness())},
+      {"tracker", TrackerBytes(crawler->tracker_)},
+      {"pending", CheckpointIo::Pending(*crawler)},
+      {"failure", CheckpointIo::Failure(*crawler)},
+      {"defense", CheckpointIo::Defense(*crawler)}};
   if (options.module_traffic) {
-    std::ostringstream os;
-    WriteTraffic(crawler->engine_.pool().AggregateTraffic(), os);
-    segment.sections.push_back(storage::DeltaSection{"traffic", os.str()});
+    segment.sections.push_back(
+        {"traffic",
+         TrafficBytes(crawler->engine_.pool().AggregateTraffic())});
   }
   if (options.include_web) {
-    std::ostringstream os;
-    Status st = simweb::SaveWebDelta(*crawler->web_, os);
-    if (!st.ok()) return st;
-    segment.sections.push_back(storage::DeltaSection{"dweb", os.str()});
+    auto web = WebBytes(*crawler->web_, simweb::SaveWebDelta);
+    if (!web.ok()) return web.status();
+    segment.sections.push_back({"dweb", std::move(web).value()});
   }
 
   Status st = storage::AppendDeltaSegment(delta_path, segment);

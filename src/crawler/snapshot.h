@@ -4,6 +4,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "crawler/all_urls.h"
 #include "crawler/collection.h"
@@ -125,16 +126,20 @@ StatusOr<Collection> LoadCollectionFromFile(const std::string& path);
 /// last section's bytes.
 ///
 /// Incremental sections: meta (clock, timers, batch counter, counters
-/// including the deterministic capacity-lease ledger — meta format
-/// v2), collection, allurls, update, frontier, polite (per-site
+/// including the capacity-lease, failure and defense ledgers — meta
+/// format v4), collection, allurls, update, frontier, polite (per-site
 /// last-access), tracker (freshness series), pending (the in-flight
 /// lease state: URLs admitted toward collection slots but not yet
 /// crawled, merged canonically across the owner shards and re-split
-/// on load), and — with include_web — web (the simulated web's
-/// evolution state; see simweb/simulated_web.h). Periodic sections:
-/// meta, collection-current
-/// [, collection-shadow], bfs (BFS frontier in queue order), seen
-/// (cycle seen-set), polite, tracker [, web].
+/// on load), failure (circuit breakers and per-URL failure counts),
+/// defense (throttle machines and fingerprint owners) [, traffic]
+/// [, web] (the simulated web's evolution state; see
+/// simweb/simulated_web.h). Periodic sections: meta (format v2),
+/// collection-current [, collection-shadow], bfs (BFS frontier in
+/// queue order), seen (cycle seen-set), polite, tracker, failure
+/// (the cycle's re-queue counts) [, traffic] [, web]. Only traffic
+/// and web are optional, each selected by an option below; a reader
+/// accepts exactly the current version of every stream.
 ///
 /// Every section is canonical — equal logical state produces equal
 /// bytes at every shard count — so a checkpoint saved at N = 8 loads
@@ -151,7 +156,8 @@ StatusOr<Collection> LoadCollectionFromFile(const std::string& path);
 ///
 /// Restores are staged: LoadCrawler validates the container and every
 /// section before touching `crawler`, so a corrupt checkpoint never
-/// leaves it half-loaded. The crawler must be constructed against the
+/// leaves it half-loaded. Every site a record names must be below the
+/// crawler's web's site count. The crawler must be constructed against the
 /// same configuration (its crawl_parallelism may differ) and, when the
 /// checkpoint carries a web section, a web built from the same
 /// WebConfig.
@@ -179,6 +185,27 @@ Status SaveCrawler(const PeriodicCrawler& crawler, std::ostream& out,
 /// versions, truncated or corrupted sections with InvalidArgument.
 Status LoadCrawler(std::istream& in, IncrementalCrawler* crawler);
 Status LoadCrawler(std::istream& in, PeriodicCrawler* crawler);
+
+/// One section of a checkpoint container.
+struct CheckpointSection {
+  std::string name;
+  std::string bytes;
+};
+
+/// A verified checkpoint container: its kind ("incremental" or
+/// "periodic"), format version, and sections in table order.
+struct CheckpointContainer {
+  std::string kind;
+  int version = 0;
+  std::vector<CheckpointSection> sections;
+};
+
+/// Reads and verifies a container without parsing any section: the
+/// header trailer first, then each section against its table length
+/// and checksum — so truncation and corruption surface before any
+/// section is parsed — and finally end-of-stream. LoadCrawler's first
+/// step, and the whole of `webevo_checkpoint inspect`'s check.
+StatusOr<CheckpointContainer> ReadCheckpointContainer(std::istream& in);
 
 /// Crash-consistent file wrappers: the container is staged to a temp
 /// file, fsync'd, and atomically renamed over `path` — a crash leaves

@@ -192,20 +192,11 @@ class UpdateModule {
 
   /// Snapshot/restore of the module's *learned* state — estimator
   /// statistics, per-page visit history, rebalance outputs, and the
-  /// per-site probe RNG streams — implemented in crawler/snapshot.cc.
-  /// Persisting this is what lets a restarted incremental crawler keep
-  /// its change-rate knowledge instead of relearning it from scratch.
-  friend Status SaveUpdateModule(const UpdateModule& module,
-                                 std::ostream& out);
-  friend Status LoadUpdateModule(std::istream& in, UpdateModule* module);
-
-  /// Incremental-checkpoint delta of the learned state: the records of
-  /// the dirty pages / site aggregates / probe streams only, plus the
-  /// (cheap) scheduling globals — also in crawler/snapshot.cc.
-  friend Status SaveUpdateModuleDelta(const UpdateModule& module,
-                                      std::ostream& out);
-  friend Status ApplyUpdateModuleDelta(std::istream& in,
-                                       UpdateModule* module);
+  /// per-site probe RNG streams — and its incremental-checkpoint delta
+  /// (crawler/snapshot.cc). Persisting this is what lets a restarted
+  /// incremental crawler keep its change-rate knowledge instead of
+  /// relearning it from scratch.
+  friend struct UpdateModuleIo;
 
   /// Dirty-key tracking for incremental checkpoints. Marks are
   /// per-shard (the apply pass's workers each touch only their own

@@ -16,49 +16,39 @@ constexpr int kViewFormatVersion = 1;
 }  // namespace
 
 void BatchView::Serialize(std::ostream& out) const {
-  TrailerWriter writer(out);
-  {
-    std::ostringstream os;
-    os.precision(17);
-    os << kViewMagic << ' ' << kViewFormatVersion << ' ' << crawler << ' '
-       << batch << ' ' << published_at << ' ' << collection_size << ' '
-       << collection_capacity << ' ' << frontier_depth << ' '
-       << pages.size() << ' ' << sites.size() << ' ' << freshness.size()
-       << ' ' << estimates.size() << ' ' << summary.size();
-    writer.Line(os.str());
-  }
+  std::string bytes;
+  RecordWriter w(&bytes);
+  w.Begin(kViewMagic).Put(kViewFormatVersion, crawler, batch, published_at,
+                          collection_size, collection_capacity,
+                          frontier_depth, pages.size(), sites.size(),
+                          freshness.size(), estimates.size(),
+                          summary.size());
+  w.End();
   for (const auto& [name, value] : summary) {
-    writer.Line("K " + name + ' ' + value);
+    w.Begin("K").Put(name, value);
+    w.End();
   }
   for (const PageRow& p : pages) {
-    std::ostringstream os;
-    os.precision(17);
-    os << "P " << p.url.site << ' ' << p.url.slot << ' '
-       << p.url.incarnation << ' ' << p.version << ' ' << p.crawled_at
-       << ' ' << p.importance << ' ' << p.est_rate << ' ' << p.out_links;
-    writer.Line(os.str());
+    w.Begin("P").Put(p.url.site, p.url.slot, p.url.incarnation, p.version,
+                     p.crawled_at, p.importance, p.est_rate, p.out_links);
+    w.End();
   }
   for (const SiteRow& s : sites) {
-    std::ostringstream os;
-    os.precision(17);
-    os << "S " << s.site << ' ' << s.pages << ' ' << s.mean_importance
-       << ' ' << s.mean_est_rate << ' ' << s.last_crawled_at;
-    writer.Line(os.str());
+    w.Begin("S").Put(s.site, s.pages, s.mean_importance, s.mean_est_rate,
+                     s.last_crawled_at);
+    w.End();
   }
   for (const SeriesRow& f : freshness) {
-    std::ostringstream os;
-    os.precision(17);
-    os << "F " << f.time << ' ' << f.value;
-    writer.Line(os.str());
+    w.Begin("F").Put(f.time, f.value);
+    w.End();
   }
   for (const EstimateRow& e : estimates) {
-    std::ostringstream os;
-    os.precision(17);
-    os << "E " << e.url.site << ' ' << e.url.slot << ' '
-       << e.url.incarnation << ' ' << e.rate << ' ' << e.interval_days;
-    writer.Line(os.str());
+    w.Begin("E").Put(e.url.site, e.url.slot, e.url.incarnation, e.rate,
+                     e.interval_days);
+    w.End();
   }
-  writer.Finish();
+  w.Finish();
+  (void)WriteBytes(bytes, out);
 }
 
 uint64_t BatchView::Fingerprint() const {

@@ -1,13 +1,13 @@
 #include "serving/view_builder.h"
 
 #include <algorithm>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "crawler/incremental_crawler.h"
 #include "crawler/periodic_crawler.h"
 #include "freshness/freshness_tracker.h"
+#include "util/text_snapshot.h"
 
 namespace webevo::serving {
 
@@ -16,10 +16,9 @@ namespace {
 std::string FmtCount(uint64_t v) { return std::to_string(v); }
 
 std::string FmtReal(double v) {
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
+  std::string text;
+  RecordLine(&text).Put(v);
+  return text;
 }
 
 /// Streams the canonical page walk into the pages / sites / estimates

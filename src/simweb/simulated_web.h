@@ -240,6 +240,7 @@ class SimulatedWeb {
   friend Status RestoreWeb(std::istream& in, SimulatedWeb* web);
   friend Status SaveWebDelta(const SimulatedWeb& web, std::ostream& out);
   friend Status ApplyWebDelta(std::istream& in, SimulatedWeb* web);
+  friend struct WebSnapshotIo;
 
   /// Per-site dirty flags for incremental checkpoints: every mutating
   /// entry point (Fetch, link resolution, the state-advancing oracles)

@@ -6,9 +6,10 @@
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
+#include <string_view>
 
 #include "util/hash.h"
+#include "util/text_snapshot.h"
 
 namespace webevo::storage {
 
@@ -40,6 +41,100 @@ Status AppendAndSync(const std::string& path, const std::string& bytes) {
   return Status::Ok();
 }
 
+// Parses the segment starting at `*pos` and advances past it. Sets
+// `*torn` instead when the segment ends early or a framing line does
+// not parse — the shape a crash between append and seal leaves. Data
+// that is fully present but fails a checksum is an error.
+Status ParseSegment(std::string_view data, std::size_t* pos,
+                    DeltaSegment* segment, bool* torn) {
+  std::size_t p = *pos;
+  std::string_view line;
+  auto next_line = [&] {
+    const std::size_t eol = data.find('\n', p);
+    if (eol == std::string_view::npos) return false;
+    line = data.substr(p, eol - p);
+    p = eol + 1;
+    return true;
+  };
+  *torn = true;
+  int version = 0;
+  std::size_t nsections = 0, payload_bytes = 0;
+  if (!next_line()) return Status::Ok();
+  RecordCursor head(line, "delta segment header");
+  head.Tag(kDeltaMagic).Get(&version, &segment->kind, &segment->batch,
+                            &nsections, &payload_bytes);
+  if (!head.End().ok()) return Status::Ok();
+  if (version != kDeltaFormatVersion) {
+    return Status::InvalidArgument("delta log: unsupported version " +
+                                   std::to_string(version));
+  }
+  if (nsections > kMaxDeltaSections) {
+    return Status::InvalidArgument(
+        "delta log: segment section count out of range");
+  }
+  std::vector<uint64_t> hashes(nsections);
+  std::vector<std::size_t> lengths(nsections);
+  segment->sections.resize(nsections);
+  for (std::size_t i = 0; i < nsections; ++i) {
+    if (!next_line()) return Status::Ok();
+    RecordCursor c(line, "delta section table");
+    c.Tag("S").Get(&segment->sections[i].name, &lengths[i], &hashes[i]);
+    if (!c.End().ok()) return Status::Ok();
+  }
+  const std::string_view header = data.substr(*pos, p - *pos);
+  uint64_t header_hash = 0;
+  if (!next_line()) return Status::Ok();
+  if (!RecordCursor(line, "delta header checksum")
+           .Tag("H")
+           .Get(&header_hash)
+           .End()
+           .ok()) {
+    return Status::Ok();
+  }
+  if (header_hash != Fnv1a64(header)) {
+    return Status::InvalidArgument("delta log: header checksum mismatch");
+  }
+  if (data.size() - p < payload_bytes) return Status::Ok();
+  const std::string_view payload = data.substr(p, payload_bytes);
+  p += payload_bytes;
+  uint64_t payload_hash = 0;
+  if (!next_line()) return Status::Ok();  // seal missing
+  if (!RecordCursor(line, "delta seal")
+           .Tag("Z")
+           .Get(&payload_hash)
+           .End()
+           .ok()) {
+    return Status::Ok();
+  }
+  if (payload_hash != Fnv1a64(payload)) {
+    return Status::InvalidArgument("delta log: payload checksum mismatch");
+  }
+  // Summed without overflow: each length must fit in what is left.
+  std::size_t left = payload_bytes;
+  bool fits = true;
+  for (std::size_t length : lengths) {
+    fits = fits && length <= left;
+    if (fits) left -= length;
+  }
+  if (!fits || left != 0) {
+    return Status::InvalidArgument(
+        "delta log: section table disagrees with payload size");
+  }
+  std::size_t off = 0;
+  for (std::size_t i = 0; i < nsections; ++i) {
+    DeltaSection& section = segment->sections[i];
+    section.bytes.assign(payload.substr(off, lengths[i]));
+    if (Fnv1a64(section.bytes) != hashes[i]) {
+      return Status::InvalidArgument("delta log: section '" + section.name +
+                                     "' checksum mismatch");
+    }
+    off += lengths[i];
+  }
+  *torn = false;
+  *pos = p;
+  return Status::Ok();
+}
+
 // 1-based index of the next AppendDeltaSegment call in this process,
 // for the crash-injection hook.
 std::atomic<uint64_t> g_append_count{0};
@@ -55,21 +150,27 @@ const DeltaSection* DeltaSegment::FindSection(
 }
 
 std::string EncodeDeltaSegment(const DeltaSegment& segment) {
-  std::ostringstream header;
-  header << kDeltaMagic << ' ' << kDeltaFormatVersion << ' '
-         << segment.kind << ' ' << segment.batch << ' '
-         << segment.sections.size() << ' ';
-  std::string payload;
-  std::ostringstream table;
+  std::size_t payload_bytes = 0;
   for (const DeltaSection& s : segment.sections) {
-    table << "S " << s.name << ' ' << s.bytes.size() << ' '
-          << Fnv1a64(s.bytes) << '\n';
-    payload += s.bytes;
+    payload_bytes += s.bytes.size();
   }
-  header << payload.size() << '\n' << table.str();
-  std::string head = header.str();
-  head += "H " + std::to_string(Fnv1a64(head)) + '\n';
-  return head + payload + "Z " + std::to_string(Fnv1a64(payload)) + '\n';
+  std::string out;
+  RecordLine line(&out);
+  auto put_line = [&](const auto&... fields) {
+    line.Restart();
+    line.Put(fields...);
+    out.push_back('\n');
+  };
+  put_line(kDeltaMagic, kDeltaFormatVersion, segment.kind, segment.batch,
+           segment.sections.size(), payload_bytes);
+  for (const DeltaSection& s : segment.sections) {
+    put_line("S", s.name, s.bytes.size(), Fnv1a64(s.bytes));
+  }
+  put_line("H", Fnv1a64(out));
+  const std::size_t payload_start = out.size();
+  for (const DeltaSection& s : segment.sections) out += s.bytes;
+  put_line("Z", Fnv1a64(std::string_view(out).substr(payload_start)));
+  return out;
 }
 
 Status AppendDeltaSegment(const std::string& path,
@@ -103,155 +204,26 @@ StatusOr<DeltaLogContents> ReadDeltaLog(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   DeltaLogContents contents;
   if (!in) return contents;  // no log = empty
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
+  const std::string data((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
   std::size_t pos = 0;
   while (pos < data.size()) {
     const std::size_t segment_start = pos;
-    // A structural parse failure is a torn tail (not an error) when no
-    // further segment header follows — a crash can tear the log at any
-    // byte, including a line boundary. Failures *before* a later
-    // segment, and checksum mismatches on fully-present data, are
-    // corruption.
-    const bool last_candidate =
-        data.find(std::string("\n") + kDeltaMagic + " ",
-                  segment_start) == std::string::npos;
-    // --- header line
-    std::size_t eol = data.find('\n', pos);
-    if (eol == std::string::npos) break;  // torn tail
-    std::istringstream head(data.substr(pos, eol - pos));
-    std::string magic, kind;
-    int version = 0;
-    uint64_t batch = 0;
-    std::size_t nsections = 0, payload_bytes = 0;
-    if (!(head >> magic >> version >> kind >> batch >> nsections >>
-          payload_bytes) ||
-        magic != kDeltaMagic) {
-      if (last_candidate) break;
-      return Status::InvalidArgument(
-          "delta log: bad segment header in " + path);
-    }
-    if (version != kDeltaFormatVersion) {
-      return Status::InvalidArgument("delta log: unsupported version " +
-                                     std::to_string(version));
-    }
-    if (nsections > kMaxDeltaSections) {
-      return Status::InvalidArgument(
-          "delta log: segment section count out of range");
-    }
-    std::string header_lines = data.substr(pos, eol - pos + 1);
-    pos = eol + 1;
-    // --- section table
-    struct TableEntry {
-      std::string name;
-      std::size_t len;
-      uint64_t hash;
-    };
-    std::vector<TableEntry> table;
+    DeltaSegment segment;
     bool torn = false;
-    for (std::size_t i = 0; i < nsections; ++i) {
-      eol = data.find('\n', pos);
-      if (eol == std::string::npos) {
-        torn = true;
-        break;
-      }
-      std::istringstream line(data.substr(pos, eol - pos));
-      std::string tag;
-      TableEntry entry;
-      if (!(line >> tag >> entry.name >> entry.len >> entry.hash) ||
-          tag != "S") {
-        if (last_candidate) {
-          torn = true;
-          break;
-        }
-        return Status::InvalidArgument(
-            "delta log: bad section table line in " + path);
-      }
-      header_lines += data.substr(pos, eol - pos + 1);
-      table.push_back(std::move(entry));
-      pos = eol + 1;
-    }
+    Status st = ParseSegment(data, &pos, &segment, &torn);
+    if (!st.ok()) return st;
     if (torn) {
+      // A crash can tear the log at any byte, but only its last
+      // segment: a malformed segment with another one after it is
+      // corruption.
+      if (data.find(std::string("\n") + kDeltaMagic + " ", segment_start) !=
+          std::string::npos) {
+        return Status::InvalidArgument("delta log: malformed segment in " +
+                                       path);
+      }
       pos = segment_start;
       break;
-    }
-    // --- header checksum line
-    eol = data.find('\n', pos);
-    if (eol == std::string::npos) {
-      pos = segment_start;
-      break;  // torn tail
-    }
-    {
-      std::istringstream line(data.substr(pos, eol - pos));
-      std::string tag;
-      uint64_t hash = 0;
-      if (!(line >> tag >> hash) || tag != "H") {
-        if (last_candidate) {
-          pos = segment_start;
-          break;
-        }
-        return Status::InvalidArgument(
-            "delta log: missing header checksum in " + path);
-      }
-      if (hash != Fnv1a64(header_lines)) {
-        return Status::InvalidArgument(
-            "delta log: header checksum mismatch in " + path);
-      }
-    }
-    pos = eol + 1;
-    // --- payload
-    if (data.size() - pos < payload_bytes) {
-      pos = segment_start;
-      break;  // torn tail
-    }
-    const std::string payload = data.substr(pos, payload_bytes);
-    pos += payload_bytes;
-    // --- seal
-    eol = data.find('\n', pos);
-    if (eol == std::string::npos) {
-      pos = segment_start;
-      break;  // torn tail (seal missing)
-    }
-    {
-      std::istringstream line(data.substr(pos, eol - pos));
-      std::string tag;
-      uint64_t hash = 0;
-      if (!(line >> tag >> hash) || tag != "Z") {
-        if (last_candidate) {
-          pos = segment_start;
-          break;
-        }
-        return Status::InvalidArgument(
-            "delta log: missing seal in " + path);
-      }
-      if (hash != Fnv1a64(payload)) {
-        return Status::InvalidArgument(
-            "delta log: payload checksum mismatch in " + path);
-      }
-    }
-    pos = eol + 1;
-    // --- slice sections out of the payload
-    DeltaSegment segment;
-    segment.kind = kind;
-    segment.batch = batch;
-    std::size_t off = 0;
-    std::size_t total = 0;
-    for (const TableEntry& entry : table) total += entry.len;
-    if (total != payload_bytes) {
-      return Status::InvalidArgument(
-          "delta log: section table disagrees with payload size");
-    }
-    for (const TableEntry& entry : table) {
-      DeltaSection section;
-      section.name = entry.name;
-      section.bytes = payload.substr(off, entry.len);
-      if (Fnv1a64(section.bytes) != entry.hash) {
-        return Status::InvalidArgument("delta log: section '" +
-                                       entry.name +
-                                       "' checksum mismatch");
-      }
-      off += entry.len;
-      segment.sections.push_back(std::move(section));
     }
     contents.segments.push_back(std::move(segment));
   }

@@ -1,7 +1,8 @@
 #include "util/text_snapshot.h"
 
 #include <cstdio>
-#include <sstream>
+#include <limits>
+#include <ostream>
 
 #include "util/hash.h"
 
@@ -16,57 +17,136 @@
 #endif
 
 namespace webevo {
+namespace {
 
-void TrailerWriter::Line(const std::string& line) {
-  hash_ = Fnv1a64Seeded(line, hash_);
-  hash_ = Fnv1a64Seeded("\n", hash_);
-  out_ << line << '\n';
+bool IsSpace(char c) { return c == ' ' || c == '\t' || c == '\r'; }
+
+}  // namespace
+
+void RecordWriter::End() {
+  out_->push_back('\n');
+  const std::size_t start = line_.start();
+  hash_ = Fnv1a64Seeded(
+      std::string_view(out_->data() + start, out_->size() - start), hash_);
 }
 
-void TrailerWriter::Finish() {
-  out_ << kSnapshotTrailerMagic << ' ' << hash_ << '\n';
+void RecordWriter::Finish() {
+  RecordLine(out_).Put(kSnapshotTrailerMagic, hash_);
+  out_->push_back('\n');
 }
 
-StatusOr<std::string> TrailerReader::Next() {
-  std::string line;
-  if (!std::getline(in_, line)) {
-    return Status::InvalidArgument("snapshot truncated (no trailer)");
+RecordCursor& RecordCursor::Tag(std::string_view tag) {
+  const std::string_view token = NextToken();
+  if (ok() && token != tag) SetError("wrong tag");
+  return *this;
+}
+
+RecordCursor& RecordCursor::MaybeInf(double* value) {
+  const std::string_view before = rest_;
+  if (ok() && NextToken() == "inf") {
+    *value = std::numeric_limits<double>::infinity();
+    return *this;
   }
-  if (line.rfind(kSnapshotTrailerMagic, 0) == 0) {
-    std::istringstream trailer(line);
-    std::string magic;
-    uint64_t stored = 0;
-    trailer >> magic >> stored;
-    if (trailer.fail() || stored != hash_) {
-      return Status::InvalidArgument("snapshot integrity check failed");
-    }
-    done_ = true;
-    return Status::NotFound("end of payload");
-  }
-  hash_ = Fnv1a64Seeded(line, hash_);
-  hash_ = Fnv1a64Seeded("\n", hash_);
-  return line;
+  rest_ = before;
+  return Get(value);
 }
 
-Status ExpectLineEnd(std::istream& is, const char* what) {
-  char c = 0;
-  while (is.get(c)) {
-    if (c != ' ' && c != '\t' && c != '\r') {
-      return Status::InvalidArgument(std::string("trailing data in ") +
-                                     what + " record");
-    }
+RecordCursor& RecordCursor::Site(uint32_t* site) {
+  uint32_t parsed = 0;
+  Get(&parsed);
+  if (ok() && parsed >= site_limit_) SetError("site out of range");
+  if (ok()) *site = parsed;
+  return *this;
+}
+
+RecordCursor& RecordCursor::Count(std::size_t* n,
+                                  std::size_t fields_per_item) {
+  std::size_t parsed = 0;
+  Get(&parsed);
+  if (!ok()) return *this;
+  std::size_t tokens = 0;
+  for (std::size_t i = 0; i < rest_.size(); ++i) {
+    if (!IsSpace(rest_[i]) && (i == 0 || IsSpace(rest_[i - 1]))) ++tokens;
+  }
+  if (parsed > tokens / fields_per_item) {
+    SetError("list longer than the line");
+  } else {
+    *n = parsed;
+  }
+  return *this;
+}
+
+RecordCursor& RecordCursor::Check(bool condition, const char* reason) {
+  if (ok() && !condition) SetError(reason);
+  return *this;
+}
+
+RecordCursor& RecordCursor::Fail(const Status& status) {
+  if (ok()) status_ = status;
+  return *this;
+}
+
+Status RecordCursor::End() {
+  SkipSpace();
+  if (ok() && !rest_.empty()) SetError("trailing data");
+  return status_;
+}
+
+void RecordCursor::SkipSpace() {
+  std::size_t n = 0;
+  while (n < rest_.size() && IsSpace(rest_[n])) ++n;
+  rest_.remove_prefix(n);
+}
+
+std::string_view RecordCursor::NextToken() {
+  SkipSpace();
+  std::size_t n = 0;
+  while (n < rest_.size() && !IsSpace(rest_[n])) ++n;
+  const std::string_view token = rest_.substr(0, n);
+  rest_.remove_prefix(n);
+  if (token.empty() && ok()) SetError("missing field");
+  return token;
+}
+
+void RecordCursor::SetError(const char* reason) {
+  status_ = Status::InvalidArgument(std::string("malformed ") + what_ +
+                                    " record (" + reason + ")");
+}
+
+Status RecordReader::NextLine() {
+  if (!std::getline(in_, line_)) {
+    return Status::InvalidArgument(std::string(what_) +
+                                   " truncated (no trailer)");
+  }
+  at_trailer_ = line_.rfind(kSnapshotTrailerMagic, 0) == 0;
+  if (!at_trailer_) {
+    hash_ = Fnv1a64Seeded(line_, hash_);
+    hash_ = Fnv1a64Seeded("\n", hash_);
   }
   return Status::Ok();
 }
 
-Status FinishFramedStream(TrailerReader& reader, std::istream& in,
-                          const char* what) {
-  auto end = reader.Next();
-  if (end.ok()) {
-    return Status::InvalidArgument("trailing data in snapshot");
+Status RecordReader::ReadTrailer() {
+  Status st = NextLine();
+  if (!st.ok()) return st;
+  if (!at_trailer_) {
+    return Status::InvalidArgument(std::string("trailing data in ") +
+                                   what_);
   }
-  if (!reader.done()) return end.status();
-  return ExpectStreamEnd(in, what);
+  RecordCursor c(line_, what_);
+  uint64_t stored = 0;
+  c.Tag(kSnapshotTrailerMagic).Get(&stored);
+  if (!c.End().ok() || stored != hash_) {
+    return Status::InvalidArgument(std::string(what_) +
+                                   " integrity check failed");
+  }
+  return Status::Ok();
+}
+
+Status RecordReader::Finish() {
+  Status st = ReadTrailer();
+  if (!st.ok()) return st;
+  return ExpectStreamEnd(in_, what_);
 }
 
 Status ExpectStreamEnd(std::istream& in, const char* what) {
@@ -77,6 +157,12 @@ Status ExpectStreamEnd(std::istream& in, const char* what) {
           std::string("trailing data after ") + what + " trailer");
     }
   }
+  return Status::Ok();
+}
+
+Status WriteBytes(const std::string& bytes, std::ostream& out) {
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  if (!out.good()) return Status::Internal("snapshot write failed");
   return Status::Ok();
 }
 

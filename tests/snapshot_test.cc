@@ -329,15 +329,18 @@ TEST(SnapshotTest, ShardedCollectionRoundTrip) {
 // ------------------------------------------------- reader strictness
 
 // Builds a snapshot with a *valid* trailer over arbitrary payload
-// lines (through the shared TrailerWriter, so the framing can never
+// lines (through the shared RecordWriter, so the framing can never
 // drift from production), so the tests below exercise the record
 // parsers rather than the integrity check.
 std::string FramedSnapshot(const std::vector<std::string>& lines) {
-  std::ostringstream out;
-  TrailerWriter writer(out);
-  for (const std::string& line : lines) writer.Line(line);
+  std::string out;
+  RecordWriter writer(&out);
+  for (const std::string& line : lines) {
+    writer.Begin(line);
+    writer.End();
+  }
   writer.Finish();
-  return out.str();
+  return out;
 }
 
 TEST(SnapshotTest, RejectsTrailingDataAfterTrailer) {

@@ -12,14 +12,14 @@
 //   webevo_checkpoint inspect run.ckpt --sections
 //   webevo_checkpoint inspect run.ckpt --deltas=elsewhere.deltas
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "crawler/snapshot.h"
 #include "storage/delta_log.h"
 #include "util/flags.h"
 #include "util/hash.h"
@@ -68,17 +68,19 @@ struct SectionRow {
   std::string version;
 };
 
-// First two whitespace-separated tokens of the section's first line —
-// every webevo snapshot stream opens with `<magic> <version> ...`.
-void ParseSectionHeader(const std::string& bytes, SectionRow* row) {
-  std::istringstream is(bytes);
-  std::string line;
-  std::getline(is, line);
-  std::istringstream ls(line);
-  if (!(ls >> row->magic >> row->version)) {
-    row->magic = "?";
-    row->version = "?";
+// One table row: the section's name, size and checksum, and the first
+// two tokens of its first line — every webevo snapshot stream opens
+// with `<magic> <version> ...`.
+SectionRow Row(const std::string& name, const std::string& bytes) {
+  SectionRow row{name, bytes.size(), Fnv1a64(bytes), "?", "?"};
+  RecordCursor c(std::string_view(bytes).substr(0, bytes.find('\n')),
+                 "section header");
+  std::string magic, version;
+  if (c.Get(&magic, &version).ok()) {
+    row.magic = magic;
+    row.version = version;
   }
+  return row;
 }
 
 void PrintSectionTable(const std::vector<SectionRow>& rows,
@@ -101,83 +103,21 @@ void PrintSectionTable(const std::vector<SectionRow>& rows,
   }
 }
 
-// Parses and verifies the container exactly as snapshot.cc's reader
-// does — header trailer first, then each section against its declared
-// length and checksum, then end-of-stream — but keeps the sections as
-// opaque bytes instead of restoring a crawler from them.
+// Verifies the container with the loader's own reader, but keeps the
+// sections as opaque bytes instead of restoring a crawler from them.
 Status InspectContainer(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::NotFound("cannot open " + path);
-
-  TrailerReader reader(in);
-  auto header = reader.Next();
-  if (!header.ok()) return header.status();
-  std::istringstream hs(*header);
-  std::string magic, kind;
-  int version = 0;
-  std::size_t nsections = 0;
-  hs >> magic >> version >> kind >> nsections;
-  if (hs.fail() || magic != "webevo-crawler") {
-    return Status::InvalidArgument("not a webevo-crawler container: " +
-                                   path);
-  }
-  Status end = ExpectLineEnd(hs, "container header");
-  if (!end.ok()) return end;
+  auto container = crawler::ReadCheckpointContainer(in);
+  if (!container.ok()) return container.status();
 
   std::vector<SectionRow> rows;
-  for (std::size_t i = 0; i < nsections; ++i) {
-    auto line = reader.Next();
-    if (!line.ok()) return line.status();
-    std::istringstream ls(*line);
-    std::string tag;
-    SectionRow row;
-    ls >> tag >> row.name >> row.bytes >> row.fnv;
-    if (ls.fail() || tag != "S") {
-      return Status::InvalidArgument("malformed section-table line");
-    }
-    end = ExpectLineEnd(ls, "section-table line");
-    if (!end.ok()) return end;
-    rows.push_back(std::move(row));
+  for (const crawler::CheckpointSection& s : container->sections) {
+    rows.push_back(Row(s.name, s.bytes));
   }
-  // End of the header block: Next() past the table must consume and
-  // verify the trailer (NotFound), leaving the section bytes in `in`.
-  auto past = reader.Next();
-  if (past.ok() || !reader.done()) {
-    return past.ok()
-               ? Status::InvalidArgument("trailing data in header")
-               : past.status();
-  }
-
-  for (SectionRow& row : rows) {
-    // Chunked reads, as in the container loader: a crafted
-    // table-claimed length must surface as a truncation error, not a
-    // giant allocation.
-    std::string bytes;
-    bytes.reserve(std::min<std::size_t>(row.bytes, 1 << 20));
-    std::size_t remaining = row.bytes;
-    char buf[1 << 16];
-    while (remaining > 0) {
-      const std::size_t want = std::min(remaining, sizeof(buf));
-      in.read(buf, static_cast<std::streamsize>(want));
-      const auto got = static_cast<std::size_t>(in.gcount());
-      bytes.append(buf, got);
-      if (got < want) {
-        return Status::InvalidArgument("section " + row.name +
-                                       " truncated");
-      }
-      remaining -= got;
-    }
-    if (Fnv1a64(bytes) != row.fnv) {
-      return Status::InvalidArgument("section " + row.name +
-                                     " checksum mismatch");
-    }
-    ParseSectionHeader(bytes, &row);
-  }
-  Status stream_end = ExpectStreamEnd(in, "checkpoint container");
-  if (!stream_end.ok()) return stream_end;
-
   std::printf("%s: kind=%s format=v%d sections=%zu  [verified]\n",
-              path.c_str(), kind.c_str(), version, nsections);
+              path.c_str(), container->kind.c_str(), container->version,
+              rows.size());
   PrintSectionTable(rows, "  ");
   return Status::Ok();
 }
@@ -209,12 +149,7 @@ Status InspectDeltaChain(const std::string& base_path,
     if (show_sections) {
       std::vector<SectionRow> rows;
       for (const storage::DeltaSection& s : segment.sections) {
-        SectionRow row;
-        row.name = s.name;
-        row.bytes = s.bytes.size();
-        row.fnv = Fnv1a64(s.bytes);
-        ParseSectionHeader(s.bytes, &row);
-        rows.push_back(std::move(row));
+        rows.push_back(Row(s.name, s.bytes));
       }
       PrintSectionTable(rows, "    ");
     }

@@ -32,6 +32,7 @@
 #include "simweb/simulated_web.h"
 #include "util/flags.h"
 #include "util/table.h"
+#include "util/text_snapshot.h"
 
 namespace {
 
@@ -80,10 +81,9 @@ exactly as for webevo_sim crawl --resume):
 )";
 
 std::string FmtReal(double v) {
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
+  std::string text;
+  RecordLine(&text).Put(v);
+  return text;
 }
 
 std::string FmtCount(uint64_t v) { return std::to_string(v); }
