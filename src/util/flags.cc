@@ -19,12 +19,6 @@ FlagParser::FlagParser(int argc, const char* const* argv) {
     if (eq != std::string::npos) {
       bare_.erase(body.substr(0, eq));
       flags_[body.substr(0, eq)] = body.substr(eq + 1);
-      continue;
-    }
-    // `--name value` unless the next token is itself a flag.
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      bare_.erase(body);
-      flags_[body] = argv[++i];
     } else {
       bare_.insert(body);
       flags_[body] = "true";

@@ -12,8 +12,9 @@
 namespace webevo {
 
 /// Minimal command-line flag parser for the tools and examples:
-/// `--name=value` or `--name value`; bare `--name` is a boolean true;
-/// everything else is a positional argument.
+/// `--name=value`; bare `--name` is a boolean true and never takes the
+/// next argument as its value; everything else is a positional
+/// argument.
 ///
 /// No registration step — callers query by name with typed accessors
 /// and defaults, and can Validate() against a list of known names.

@@ -19,10 +19,14 @@ TEST(FlagParserTest, EqualsSyntax) {
   EXPECT_DOUBLE_EQ(flags.GetDouble("scale", 0.0), 0.5);
 }
 
-TEST(FlagParserTest, SpaceSyntax) {
-  FlagParser flags = Parse({"--days", "42", "--name", "webevo"});
-  EXPECT_EQ(flags.GetInt("days", 0), 42);
-  EXPECT_EQ(flags.GetString("name", ""), "webevo");
+TEST(FlagParserTest, BareFlagLeavesNextArgumentPositional) {
+  // `inspect --sections run.ckpt` must keep the checkpoint path: a bare
+  // flag never consumes the argument after it.
+  FlagParser flags = Parse({"inspect", "--sections", "run.ckpt"});
+  EXPECT_TRUE(flags.GetBool("sections", false));
+  ASSERT_EQ(flags.positional().size(), 2u);
+  EXPECT_EQ(flags.positional()[0], "inspect");
+  EXPECT_EQ(flags.positional()[1], "run.ckpt");
 }
 
 TEST(FlagParserTest, BareFlagIsBooleanTrue) {
@@ -89,7 +93,8 @@ TEST(FlagParserTest, RequireValuesRejectsBareValueFlags) {
   EXPECT_NE(st.message().find("--deltas"), std::string::npos);
   EXPECT_TRUE(
       Parse({"--deltas=d.log", "--sections"}).RequireValues({"deltas"}).ok());
-  EXPECT_TRUE(Parse({"--deltas", "d.log"}).RequireValues({"deltas"}).ok());
+  // A value is only ever attached with `=`.
+  EXPECT_FALSE(Parse({"--deltas", "d.log"}).RequireValues({"deltas"}).ok());
   // A later valued duplicate wins over an earlier bare one, and back.
   EXPECT_TRUE(
       Parse({"--deltas", "--deltas=d.log"}).RequireValues({"deltas"}).ok());
