@@ -57,7 +57,7 @@ void CrawlModule::ExportPoliteness(
 
 void CrawlModule::RestorePoliteness(uint32_t site, double last_access) {
   if (site >= last_access_.size()) {
-    last_access_.resize(site + 1,
+    last_access_.resize(std::size_t{site} + 1,
                         -std::numeric_limits<double>::infinity());
   }
   last_access_[site] = last_access;
