@@ -29,6 +29,7 @@ constexpr const char* kCollectionMagic = "webevo-collection";
 constexpr const char* kAllUrlsMagic = "webevo-allurls";
 constexpr const char* kUpdateModuleMagic = "webevo-update";
 constexpr const char* kFrontierMagic = "webevo-frontier";
+constexpr const char* kUpdateDeltaMagic = "webevo-dupdate";
 constexpr int kFormatVersion = 1;
 // The UpdateModule format is versioned separately: version 2 replaced
 // the module-global probe RNG with per-site streams (`R` records) and
@@ -291,7 +292,19 @@ struct UpdateModuleIo {
     return out;
   }
 
-  static std::string DeltaBytes(const UpdateModule& module);
+  static std::string DeltaBytes(const UpdateModule& module) {
+    const Records records = Dirty(module);
+    std::string out;
+    RecordWriter w(&out);
+    w.Begin(kUpdateDeltaMagic)
+        .Put(kFormatVersion, KindName(module), records.pages.size(),
+             records.tombstones.size(), records.sites.size(),
+             records.rngs.size());
+    w.End();
+    WriteRecords(module, records, w);
+    w.Finish();
+    return out;
+  }
 
   // Reads a flattened estimator state that ends the line and restores
   // it into a fresh estimator of the module's kind. A page record's
@@ -398,45 +411,22 @@ struct UpdateModuleIo {
   }
 
   static Status ApplyDelta(std::istream& in, uint64_t sites,
-                           UpdateModule* module);
-};
-
-namespace {
-
-constexpr const char* kUpdateDeltaMagic = "webevo-dupdate";
-
-}  // namespace
-
-std::string UpdateModuleIo::DeltaBytes(const UpdateModule& module) {
-  const Records records = Dirty(module);
-  std::string out;
-  RecordWriter w(&out);
-  w.Begin(kUpdateDeltaMagic)
-      .Put(kFormatVersion, KindName(module), records.pages.size(),
-           records.tombstones.size(), records.sites.size(),
-           records.rngs.size());
-  w.End();
-  WriteRecords(module, records, w);
-  w.Finish();
-  return out;
-}
-
-Status UpdateModuleIo::ApplyDelta(std::istream& in, uint64_t sites,
-                                  UpdateModule* module) {
-  RecordReader r(in, "update delta", sites);
-  std::string kind;
-  std::size_t npages = 0, ntombstones = 0, nsites = 0, nrngs = 0;
-  Status st = r.ReadHeader(kUpdateDeltaMagic, kFormatVersion, &kind,
-                           &npages, &ntombstones, &nsites, &nrngs);
-  Staged staged;
-  if (st.ok()) {
-    st = ReadRecords(r, *module, kind, npages, ntombstones, nsites, nrngs,
-                     &staged);
+                           UpdateModule* module) {
+    RecordReader r(in, "update delta", sites);
+    std::string kind;
+    std::size_t npages = 0, ntombstones = 0, nsites = 0, nrngs = 0;
+    Status st = r.ReadHeader(kUpdateDeltaMagic, kFormatVersion, &kind,
+                             &npages, &ntombstones, &nsites, &nrngs);
+    Staged staged;
+    if (st.ok()) {
+      st = ReadRecords(r, *module, kind, npages, ntombstones, nsites,
+                       nrngs, &staged);
+    }
+    if (!st.ok()) return st;
+    Commit(staged, module);
+    return Status::Ok();
   }
-  if (!st.ok()) return st;
-  Commit(staged, module);
-  return Status::Ok();
-}
+};
 
 namespace {
 
@@ -1438,22 +1428,18 @@ struct CheckpointIo {
   /// so callers treat any error as "restore from the base again".
   static Status ApplySegment(const storage::DeltaSegment& segment,
                              IncrementalCrawler* crawler) {
-    auto section = [&](const char* name) -> const std::string* {
-      const storage::DeltaSection* s = segment.FindSection(name);
-      return s == nullptr ? nullptr : &s->bytes;
+    const std::vector<CheckpointSection>& sections = segment.sections;
+    Status st = RequireSections(
+        sections, {"meta", "dcoll", "dallurls", "dupdate", "dfrontier",
+                   "polite", "tracker", "pending", "failure", "defense"});
+    if (!st.ok()) return st;
+    auto section = [&](const char* name) {
+      return FindSection(sections, name);
     };
-    for (const char* name :
-         {"meta", "dcoll", "dallurls", "dupdate", "dfrontier", "polite",
-          "tracker", "pending", "failure", "defense"}) {
-      if (section(name) == nullptr) {
-        return Status::InvalidArgument(
-            "delta segment missing section '" + std::string(name) + "'");
-      }
-    }
     const uint64_t sites = SiteLimit(crawler->web_);
     auto meta = ParseIncMeta(*section("meta"));
     if (!meta.ok()) return meta.status();
-    Status st = ApplyCollDelta(*section("dcoll"), sites, crawler);
+    st = ApplyCollDelta(*section("dcoll"), sites, crawler);
     if (st.ok()) st = ApplyAllUrlsDelta(*section("dallurls"), sites, crawler);
     if (st.ok()) {
       std::istringstream in(*section("dupdate"));

@@ -11,6 +11,7 @@
 #include "crawler/sharded_collection.h"
 #include "crawler/sharded_frontier.h"
 #include "crawler/update_module.h"
+#include "storage/delta_log.h"
 #include "util/status.h"
 
 namespace webevo::crawler {
@@ -186,11 +187,9 @@ Status SaveCrawler(const PeriodicCrawler& crawler, std::ostream& out,
 Status LoadCrawler(std::istream& in, IncrementalCrawler* crawler);
 Status LoadCrawler(std::istream& in, PeriodicCrawler* crawler);
 
-/// One section of a checkpoint container.
-struct CheckpointSection {
-  std::string name;
-  std::string bytes;
-};
+/// One named section of a checkpoint container — the same shape as a
+/// delta segment's sections.
+using CheckpointSection = storage::DeltaSection;
 
 /// A verified checkpoint container: its kind ("incremental" or
 /// "periodic"), format version, and sections in table order.
