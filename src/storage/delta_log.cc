@@ -81,16 +81,14 @@ Status ParseSegment(std::string_view data, std::size_t* pos,
     c.Tag("S").Get(&segment->sections[i].name, &lengths[i], &hashes[i]);
     if (!c.End().ok()) return Status::Ok();
   }
+  // The `<tag> <fnv64>` line that seals the header or the payload.
+  auto read_seal = [&](const char* tag, uint64_t* hash) {
+    return next_line() &&
+           RecordCursor(line, "delta seal").Tag(tag).Get(hash).End().ok();
+  };
   const std::string_view header = data.substr(*pos, p - *pos);
   uint64_t header_hash = 0;
-  if (!next_line()) return Status::Ok();
-  if (!RecordCursor(line, "delta header checksum")
-           .Tag("H")
-           .Get(&header_hash)
-           .End()
-           .ok()) {
-    return Status::Ok();
-  }
+  if (!read_seal("H", &header_hash)) return Status::Ok();
   if (header_hash != Fnv1a64(header)) {
     return Status::InvalidArgument("delta log: header checksum mismatch");
   }
@@ -98,14 +96,7 @@ Status ParseSegment(std::string_view data, std::size_t* pos,
   const std::string_view payload = data.substr(p, payload_bytes);
   p += payload_bytes;
   uint64_t payload_hash = 0;
-  if (!next_line()) return Status::Ok();  // seal missing
-  if (!RecordCursor(line, "delta seal")
-           .Tag("Z")
-           .Get(&payload_hash)
-           .End()
-           .ok()) {
-    return Status::Ok();
-  }
+  if (!read_seal("Z", &payload_hash)) return Status::Ok();
   if (payload_hash != Fnv1a64(payload)) {
     return Status::InvalidArgument("delta log: payload checksum mismatch");
   }

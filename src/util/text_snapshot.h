@@ -256,8 +256,8 @@ class RecordReader {
   Status Finish();
 
  private:
-  // Reads the next line into `line_`: a payload line joins the hash;
-  // the trailer line sets `at_trailer_` and is checked.
+  // Reads the next line into `line_`: a payload line joins the hash,
+  // the trailer line sets `at_trailer_` for the caller to check.
   Status NextLine();
 
   std::istream& in_;
