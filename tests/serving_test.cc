@@ -135,13 +135,17 @@ TEST(ViewRegistryTest, ConcurrentReadersUnderLiveWriter) {
   constexpr uint64_t kPublishes = 3000;
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> reads{0};
+  std::atomic<int> reading{0};
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
   for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&registry, &stop, &reads] {
+    readers.emplace_back([&registry, &stop, &reads, &reading] {
       uint64_t last_seen = 0;
+      bool first = true;
       while (!stop.load(std::memory_order_relaxed)) {
         ViewRef view = registry.AcquireRef();
+        if (first) reading.fetch_add(1);
+        first = false;
         ASSERT_TRUE(view);
         // Coherence: never a torn view, never time running backwards.
         ASSERT_EQ(view->collection_size, 3 * view->batch);
@@ -151,6 +155,9 @@ TEST(ViewRegistryTest, ConcurrentReadersUnderLiveWriter) {
       }
     });
   }
+  // Publish only once every reader is in its loop: on a loaded host the
+  // writer could otherwise finish before a reader thread has started.
+  while (reading.load() < kReaders) std::this_thread::yield();
   for (uint64_t i = 2; i <= kPublishes; ++i) {
     registry.Publish(SyntheticView(i));
   }
