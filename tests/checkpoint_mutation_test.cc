@@ -9,6 +9,7 @@
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <iterator>
 #include <sstream>
 #include <string>
@@ -21,6 +22,7 @@
 #include "crawler/snapshot.h"
 #include "simweb/simulated_web.h"
 #include "simweb/web_config.h"
+#include "storage/delta_log.h"
 #include "util/hash.h"
 #include "util/random.h"
 
@@ -136,6 +138,12 @@ std::string Trailer(const std::string& payload) {
   return "webevo-checksum " + std::to_string(Fnv1a64(payload)) + "\n";
 }
 
+// Recomputes a section's trailer over its (possibly edited) payload.
+std::string Reframe(const std::string& bytes) {
+  const std::string payload = bytes.substr(0, bytes.rfind("webevo-checksum "));
+  return payload + Trailer(payload);
+}
+
 // Re-encodes a container, recomputing every section's trailer and the
 // section table.
 std::string Join(const Container& container) {
@@ -143,9 +151,7 @@ std::string Join(const Container& container) {
                        std::to_string(container.sections.size()) + "\n";
   std::string body;
   for (const Section& s : container.sections) {
-    const std::size_t trailer = s.bytes.rfind("webevo-checksum ");
-    const std::string payload = s.bytes.substr(0, trailer);
-    const std::string bytes = payload + Trailer(payload);
+    const std::string bytes = Reframe(s.bytes);
     header += "S " + s.name + " " + std::to_string(bytes.size()) + " " +
               std::to_string(Fnv1a64(bytes)) + "\n";
     body += bytes;
@@ -189,10 +195,10 @@ bool IsNumericToken(const std::string& bytes, std::size_t begin,
   return begin < end && std::isdigit(static_cast<unsigned char>(bytes[begin]));
 }
 
-// Edits one numeric token of `section` (payload only, header line
+// Edits one numeric token of a section's payload (header line
 // included) picked by `rng`.
-void MutateNumber(Section* section, Rng* rng) {
-  std::string& bytes = section->bytes;
+void MutateNumber(std::string* section, Rng* rng) {
+  std::string& bytes = *section;
   const std::size_t payload_end = bytes.rfind("webevo-checksum ");
   std::vector<std::pair<std::size_t, std::size_t>> tokens;
   std::size_t begin = 0;
@@ -203,7 +209,7 @@ void MutateNumber(Section* section, Rng* rng) {
     }
     begin = end + 1;
   }
-  ASSERT_FALSE(tokens.empty()) << section->name;
+  ASSERT_FALSE(tokens.empty()) << bytes.substr(0, bytes.find('\n'));
   const auto [tb, te] = tokens[rng->NextBounded(tokens.size())];
   const std::string old = bytes.substr(tb, te - tb);
   // Boundary values for every field type: sign, the 32- and 64-bit
@@ -255,7 +261,7 @@ TEST(CheckpointMutationTest, SeededNumericMutationsNeverCrash) {
     Container mutated = pristine[which];
     const std::size_t nsections = mutated.sections.size();
     Section& section = mutated.sections[(i / 2) % nsections];
-    MutateNumber(&section, &rng);
+    MutateNumber(&section.bytes, &rng);
     const std::string bytes = Join(mutated);
     const Status st =
         which == 0 ? LoadIncremental(bytes) : LoadPeriodic(bytes);
@@ -268,6 +274,50 @@ TEST(CheckpointMutationTest, SeededNumericMutationsNeverCrash) {
   // Sanity check that the edits reach the parsers; many edits (a
   // changed timestamp or counter) are valid input and load.
   EXPECT_GT(rejected, 50);
+}
+
+// Segment replay parses its sections with the same codec: edits to a
+// sealed delta segment (its section trailers, table and seals
+// recomputed) must also come back as a Status.
+TEST(CheckpointMutationTest, SeededDeltaSegmentMutationsNeverCrash) {
+  const std::string path = ::testing::TempDir() + "/mutation_inc.ckpt";
+  IncrementalCrawlerConfig config = IncConfig();
+  config.checkpoint_incremental = true;
+  CrawlerCheckpointOptions options;
+  options.module_traffic = true;
+  {
+    simweb::SimulatedWeb web(MutationWeb());
+    IncrementalCrawler crawler(&web, config);
+    ASSERT_TRUE(crawler.Bootstrap(0.0).ok());
+    for (double day : {1.0, 2.0}) {
+      ASSERT_TRUE(crawler.RunUntil(day).ok());
+      ASSERT_TRUE(CheckpointIncremental(&crawler, path, options).ok());
+    }
+  }
+  auto log = storage::ReadDeltaLog(path + ".deltas");
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  ASSERT_EQ(log->segments.size(), 1u);
+  const storage::DeltaSegment pristine = log->segments[0];
+  Rng rng(20000101);
+  int rejected = 0;
+  for (int i = 0; i < 100; ++i) {
+    storage::DeltaSegment mutated = pristine;
+    std::string& bytes =
+        mutated.sections[i % mutated.sections.size()].bytes;
+    MutateNumber(&bytes, &rng);
+    bytes = Reframe(bytes);
+    std::ofstream(path + ".deltas", std::ios::binary | std::ios::trunc)
+        << storage::EncodeDeltaSegment(mutated);
+    simweb::SimulatedWeb web(MutationWeb());
+    IncrementalCrawler crawler(&web, config);
+    const Status st = LoadCrawlerWithDeltasFromFile(path, &crawler);
+    if (!st.ok()) {
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+      ++rejected;
+    }
+  }
+  // Sanity check that the edits reach the parsers, as above.
+  EXPECT_GT(rejected, 15);
 }
 
 // A politeness record for site 2^32-1 wrapped `site + 1` to 0 in
