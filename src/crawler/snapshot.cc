@@ -87,8 +87,8 @@ StatusOr<AnyCollection> ReadCollection(std::istream& in, uint64_t sites,
                                        int num_shards) {
   RecordReader r(in, "collection snapshot", sites);
   std::size_t capacity = 0, count = 0;
-  Status st = r.ReadHeader(kCollectionMagic, kFormatVersion, &capacity,
-                           &count);
+  Status st =
+      r.ReadHeader(kCollectionMagic, kFormatVersion, &capacity, &count);
   std::vector<CollectionEntry> entries;
   if (st.ok()) {
     st = r.ReadRecords(count, "E", [&](RecordCursor& c) {
@@ -389,8 +389,7 @@ struct UpdateModuleIo {
     }
   }
 
-  static Status Load(std::istream& in, uint64_t sites,
-                     UpdateModule* module) {
+  static Status Load(std::istream& in, uint64_t sites, UpdateModule* module) {
     RecordReader r(in, "update snapshot", sites);
     std::string kind;
     std::size_t npages = 0, nsites = 0, nrngs = 0;
@@ -398,8 +397,7 @@ struct UpdateModuleIo {
                              &kind, &npages, &nsites, &nrngs);
     Staged staged;
     if (st.ok()) {
-      st = ReadRecords(r, *module, kind, npages, 0, nsites, nrngs,
-                       &staged);
+      st = ReadRecords(r, *module, kind, npages, 0, nsites, nrngs, &staged);
     }
     if (!st.ok()) return st;
     // Restore into a fresh module and swap it in, so a corrupt snapshot
@@ -481,8 +479,7 @@ StatusOr<ShardedFrontier> ReadFrontier(std::istream& in, int num_shards,
     st = r.ReadRecords(count, "F", [&](RecordCursor& c) {
       CollUrls::Entry e;
       GetScheduled(c, &e);
-      frontier.ScheduleLane(frontier.ShardOf(e.url.site), e.url, e.when,
-                            e.seq);
+      frontier.ScheduleLane(frontier.ShardOf(e.url.site), e.url, e.when, e.seq);
     });
   }
   if (st.ok()) st = r.Finish();
@@ -696,8 +693,7 @@ std::string PoliteBytes(const PoliteRecords& records) {
   return out;
 }
 
-StatusOr<PoliteRecords> ReadPolite(const std::string& bytes,
-                                   uint64_t sites) {
+StatusOr<PoliteRecords> ReadPolite(const std::string& bytes, uint64_t sites) {
   std::istringstream in(bytes);
   RecordReader r(in, "politeness snapshot", sites);
   std::size_t count = 0;
@@ -1415,8 +1411,7 @@ struct CheckpointIo {
     for (const CollUrls::Entry& e : upserts) {
       // ScheduleLane replaces any live entry of the URL, and replay is
       // serial, so this reproduces LoadFrontier's end state exactly.
-      frontier.ScheduleLane(frontier.ShardOf(e.url.site), e.url, e.when,
-                            e.seq);
+      frontier.ScheduleLane(frontier.ShardOf(e.url.site), e.url, e.when, e.seq);
     }
     frontier.RestoreCounters(next_seq, front_when);
     return Status::Ok();
@@ -1644,8 +1639,7 @@ Status SaveCrawler(const PeriodicCrawler& crawler, std::ostream& out,
     RecordWriter w(&meta);
     w.Begin(kPerMetaMagic).Put(kPerMetaVersion);
     w.End();
-    w.Begin("T").Put(crawler.now_, crawler.cycle_start_,
-                     crawler.next_sample_);
+    w.Begin("T").Put(crawler.now_, crawler.cycle_start_, crawler.next_sample_);
     w.End();
     w.Begin("B").Put(crawler.batches_completed_, crawler.cycle_active_,
                      crawler.cycles_completed_, crawler.stored_this_cycle_,

@@ -21,8 +21,7 @@ void BatchView::Serialize(std::ostream& out) const {
   w.Begin(kViewMagic).Put(kViewFormatVersion, crawler, batch, published_at,
                           collection_size, collection_capacity,
                           frontier_depth, pages.size(), sites.size(),
-                          freshness.size(), estimates.size(),
-                          summary.size());
+                          freshness.size(), estimates.size(), summary.size());
   w.End();
   for (const auto& [name, value] : summary) {
     w.Begin("K").Put(name, value);

@@ -36,7 +36,6 @@
 // *observation history*, not just on absolute time. Delta globals are
 // absolute, never increments, so applying a segment is idempotent.
 
-#include <algorithm>
 #include <array>
 #include <set>
 #include <string>
@@ -97,8 +96,7 @@ struct WebSnapshotIo {
     return records;
   }
 
-  static void Write(const SimulatedWeb& web,
-                    const std::vector<uint32_t>& sites,
+  static void Write(const SimulatedWeb& web, const std::vector<uint32_t>& sites,
                     const SiteRecords& records, RecordWriter& w) {
     for (const auto& [site, count] : records.fetches) {
       w.Begin("A").Put(site, count);

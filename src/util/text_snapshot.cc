@@ -59,8 +59,7 @@ RecordCursor& RecordCursor::Site(uint32_t* site) {
   return *this;
 }
 
-RecordCursor& RecordCursor::Count(std::size_t* n,
-                                  std::size_t fields_per_item) {
+RecordCursor& RecordCursor::Count(std::size_t* n, std::size_t fields_per_item) {
   std::size_t parsed = 0;
   Get(&parsed);
   if (!ok()) return *this;

@@ -229,8 +229,7 @@ class RecordReader {
   /// fields from a cursor positioned after the tag; the record must
   /// then end. Reaching the trailer early is a count mismatch.
   template <typename Parse>
-  Status ReadRecords(std::size_t count, std::string_view tag,
-                     Parse&& parse) {
+  Status ReadRecords(std::size_t count, std::string_view tag, Parse&& parse) {
     for (std::size_t i = 0; i < count; ++i) {
       Status st = NextLine();
       if (!st.ok()) return st;

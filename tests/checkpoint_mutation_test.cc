@@ -219,8 +219,7 @@ void MutateNumber(std::string* section, Rng* rng) {
         "0 1 -1 2 2147483648 4294967295 4294967296 4611686018427387904 "
         "9000000000000000000 18446744073709551615 18446744073709551616 "
         "99999999999999999999999 1e308 -1e308 1e-320 0.5 nan inf -inf");
-    return std::vector<std::string>(std::istream_iterator<std::string>(in),
-                                    {});
+    return std::vector<std::string>(std::istream_iterator<std::string>(in), {});
   }();
   std::string value;
   switch (rng->NextBounded(3)) {
