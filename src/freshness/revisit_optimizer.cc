@@ -12,14 +12,18 @@ namespace {
 double G(double x) { return 1.0 - std::exp(-x) - x * std::exp(-x); }
 
 // Inverse of G on (0, 1) by bisection. g is strictly increasing, so
-// this is well defined; 200 halvings of [1e-12, 745] reach full double
-// precision (745 keeps e^{-x} above the denormal range).
+// this is well defined (745 keeps e^{-x} above the denormal range).
+// Halving [1e-12, 745] stops once the midpoint rounds to an endpoint:
+// lo and hi are then adjacent doubles, every further halving is a fixed
+// point, and the midpoint is the answer. That takes about 100 steps;
+// 200 is only a bound.
 double InverseG(double y) {
   double lo = 1e-12, hi = 745.0;
   if (y <= G(lo)) return lo;
   if (y >= G(hi)) return hi;
   for (int i = 0; i < 200; ++i) {
     double mid = 0.5 * (lo + hi);
+    if (mid == lo || mid == hi) return mid;
     if (G(mid) < y) {
       lo = mid;
     } else {
@@ -101,7 +105,8 @@ StatusOr<Allocation> RevisitOptimizer::Optimize(
   }
 
   // TotalVisits(mu) decreases monotonically from +inf (mu -> 0) to 0
-  // (mu >= 1/min positive rate); bisect for the budget.
+  // (mu >= 1/min positive rate); bisect for the budget, stopping at the
+  // same fixed point as InverseG.
   double hi = 0.0;
   for (const auto& g : groups) {
     if (g.rate > 0.0) hi = std::max(hi, 1.0 / g.rate);
@@ -113,6 +118,7 @@ StatusOr<Allocation> RevisitOptimizer::Optimize(
   }
   for (int i = 0; i < 200; ++i) {
     double mid = 0.5 * (lo + hi);
+    if (mid == lo || mid == hi) break;
     if (TotalVisits(groups, mid) > budget) {
       lo = mid;
     } else {
