@@ -1,7 +1,5 @@
 #include "graph/link_graph.h"
 
-#include <cassert>
-
 namespace webevo::graph {
 
 LinkGraph::LinkGraph(NodeId num_nodes) : num_nodes_(num_nodes) {}
@@ -33,34 +31,18 @@ void LinkGraph::Finalize() {
   in_sources_.resize(edges_.size());
   std::vector<uint64_t> out_pos(out_offsets_.begin(),
                                 out_offsets_.end() - 1);
+  for (const Edge& e : edges_) out_targets_[out_pos[e.from]++] = e.to;
+  // In-lists from the out-CSR in source order: each target's
+  // predecessors come out ascending, the order in which a push over
+  // sources reaches the target, so a pull over InNeighbors adds the
+  // same terms in the same order.
   std::vector<uint64_t> in_pos(in_offsets_.begin(), in_offsets_.end() - 1);
-  for (const Edge& e : edges_) {
-    out_targets_[out_pos[e.from]++] = e.to;
-    in_sources_[in_pos[e.to]++] = e.from;
+  for (NodeId from = 0; from < num_nodes_; ++from) {
+    for (uint64_t k = out_offsets_[from]; k < out_offsets_[from + 1]; ++k) {
+      in_sources_[in_pos[out_targets_[k]]++] = from;
+    }
   }
   finalized_ = true;
-}
-
-uint32_t LinkGraph::OutDegree(NodeId n) const {
-  assert(finalized_ && n < num_nodes_);
-  return static_cast<uint32_t>(out_offsets_[n + 1] - out_offsets_[n]);
-}
-
-uint32_t LinkGraph::InDegree(NodeId n) const {
-  assert(finalized_ && n < num_nodes_);
-  return static_cast<uint32_t>(in_offsets_[n + 1] - in_offsets_[n]);
-}
-
-std::span<const NodeId> LinkGraph::OutNeighbors(NodeId n) const {
-  assert(finalized_ && n < num_nodes_);
-  return {out_targets_.data() + out_offsets_[n],
-          out_targets_.data() + out_offsets_[n + 1]};
-}
-
-std::span<const NodeId> LinkGraph::InNeighbors(NodeId n) const {
-  assert(finalized_ && n < num_nodes_);
-  return {in_sources_.data() + in_offsets_[n],
-          in_sources_.data() + in_offsets_[n + 1]};
 }
 
 }  // namespace webevo::graph

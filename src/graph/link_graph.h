@@ -1,6 +1,7 @@
 #ifndef WEBEVO_GRAPH_LINK_GRAPH_H_
 #define WEBEVO_GRAPH_LINK_GRAPH_H_
 
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -37,12 +38,28 @@ class LinkGraph {
   uint64_t num_edges() const { return edges_.size(); }
 
   /// Out-/in-degree counting multiplicity. Requires Finalize().
-  uint32_t OutDegree(NodeId n) const;
-  uint32_t InDegree(NodeId n) const;
+  uint32_t OutDegree(NodeId n) const {
+    assert(finalized_ && n < num_nodes_);
+    return static_cast<uint32_t>(out_offsets_[n + 1] - out_offsets_[n]);
+  }
+  uint32_t InDegree(NodeId n) const {
+    assert(finalized_ && n < num_nodes_);
+    return static_cast<uint32_t>(in_offsets_[n + 1] - in_offsets_[n]);
+  }
 
-  /// Successor / predecessor lists. Requires Finalize().
-  std::span<const NodeId> OutNeighbors(NodeId n) const;
-  std::span<const NodeId> InNeighbors(NodeId n) const;
+  /// Successor / predecessor lists. Requires Finalize(). A successor
+  /// list keeps edge-insertion order; a predecessor list is ascending by
+  /// source (one entry per parallel edge) whatever the insertion order.
+  std::span<const NodeId> OutNeighbors(NodeId n) const {
+    assert(finalized_ && n < num_nodes_);
+    return {out_targets_.data() + out_offsets_[n],
+            out_targets_.data() + out_offsets_[n + 1]};
+  }
+  std::span<const NodeId> InNeighbors(NodeId n) const {
+    assert(finalized_ && n < num_nodes_);
+    return {in_sources_.data() + in_offsets_[n],
+            in_sources_.data() + in_offsets_[n + 1]};
+  }
 
  private:
   struct Edge {

@@ -19,27 +19,43 @@ StatusOr<PageRankResult> ComputePageRank(const LinkGraph& graph,
   const double nd = static_cast<double>(n);
   const double d = options.damping;
 
+  // One pull pass per iteration: node `to` sums base + share[v] over
+  // its in-list, which is ascending by source (LinkGraph::Finalize), so
+  // the terms and their order are those of a push over sources. The
+  // same pass yields the residual, the next dangling mass and the next
+  // shares; shares are double-buffered because any node may read any
+  // other's, while rank[to] is read only by `to` and updates in place.
   PageRankResult result;
   std::vector<double> rank(n, 1.0);  // paper: start all PR at 1
-  std::vector<double> next(n, 0.0);
+  std::vector<double> share(n, 0.0);
+  std::vector<double> next_share(n, 0.0);
+  double dangling = 0.0;
+  for (NodeId v = 0; v < n; ++v) {
+    const uint32_t deg = graph.OutDegree(v);
+    if (deg == 0) {
+      dangling += rank[v];
+    } else {
+      share[v] = d * rank[v] / static_cast<double>(deg);
+    }
+  }
   for (int iter = 0; iter < options.max_iterations; ++iter) {
-    double dangling = 0.0;
-    if (options.redistribute_dangling) {
-      for (NodeId v = 0; v < n; ++v) {
-        if (graph.OutDegree(v) == 0) dangling += rank[v];
+    if (!options.redistribute_dangling) dangling = 0.0;
+    const double base = (1.0 - d) + d * dangling / nd;
+    double residual = 0.0;
+    dangling = 0.0;
+    for (NodeId to = 0; to < n; ++to) {
+      double acc = base;
+      for (NodeId v : graph.InNeighbors(to)) acc += share[v];
+      residual += std::abs(acc - rank[to]);
+      rank[to] = acc;
+      const uint32_t deg = graph.OutDegree(to);
+      if (deg == 0) {
+        dangling += acc;
+      } else {
+        next_share[to] = d * acc / static_cast<double>(deg);
       }
     }
-    const double base = (1.0 - d) + d * dangling / nd;
-    std::fill(next.begin(), next.end(), base);
-    for (NodeId v = 0; v < n; ++v) {
-      const uint32_t deg = graph.OutDegree(v);
-      if (deg == 0) continue;
-      const double share = d * rank[v] / static_cast<double>(deg);
-      for (NodeId to : graph.OutNeighbors(v)) next[to] += share;
-    }
-    double residual = 0.0;
-    for (NodeId v = 0; v < n; ++v) residual += std::abs(next[v] - rank[v]);
-    rank.swap(next);
+    share.swap(next_share);
     result.iterations = iter + 1;
     result.residual = residual;
     if (residual < options.tolerance) {
