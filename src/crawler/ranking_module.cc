@@ -1,6 +1,7 @@
 #include "crawler/ranking_module.h"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_map>
 
 #include "graph/hits.h"
@@ -26,6 +27,8 @@ RefinementResult RefineImpl(const RankingModuleConfig& config,
 
   // Node universe: collection pages first, then live uncollected
   // candidates known to AllUrls — each group in canonical URL order.
+  // Node id = position in `urls`: members hold [0, m), candidates
+  // [m, n).
   std::vector<const CollectionEntry*> members;
   collection.ForEach(
       [&](const CollectionEntry& entry) { members.push_back(&entry); });
@@ -33,38 +36,28 @@ RefinementResult RefineImpl(const RankingModuleConfig& config,
             [](const CollectionEntry* a, const CollectionEntry* b) {
               return IdentityLess(a->url, b->url);
             });
-  std::vector<simweb::Url> member_urls;
-  member_urls.reserve(members.size());
-  for (const CollectionEntry* entry : members) {
-    member_urls.push_back(entry->url);
-  }
-
-  std::vector<simweb::Url> candidates;
+  std::vector<simweb::Url> urls;
+  urls.reserve(members.size());
+  for (const CollectionEntry* entry : members) urls.push_back(entry->url);
+  const auto m = static_cast<graph::NodeId>(urls.size());
   all_urls.ForEach([&](const simweb::Url& url,
                        const AllUrls::UrlInfo& info) {
     if (info.dead || collection.Contains(url)) return;
-    candidates.push_back(url);
+    urls.push_back(url);
   });
-  std::sort(candidates.begin(), candidates.end(), IdentityLess);
+  std::sort(urls.begin() + m, urls.end(), IdentityLess);
+  const auto n = static_cast<graph::NodeId>(urls.size());
 
   std::unordered_map<simweb::Url, graph::NodeId, simweb::UrlHash> index;
-  std::vector<simweb::Url> urls;
-  auto intern = [&](const simweb::Url& url) {
-    auto [it, inserted] =
-        index.try_emplace(url, static_cast<graph::NodeId>(urls.size()));
-    if (inserted) urls.push_back(url);
-    return it->second;
-  };
-  for (const simweb::Url& url : member_urls) intern(url);
-  for (const simweb::Url& url : candidates) intern(url);
+  index.reserve(n);
+  for (graph::NodeId id = 0; id < n; ++id) index.emplace(urls[id], id);
 
   // Edges from the link structure captured in the Collection (entries
   // are not mutated between the walk above and here). Links to URLs
   // outside the universe (e.g. dead ones) are dropped.
-  graph::LinkGraph graph(static_cast<graph::NodeId>(urls.size()));
-  for (const CollectionEntry* entry : members) {
-    graph::NodeId from = index.at(entry->url);
-    for (const simweb::Url& to : entry->links) {
+  graph::LinkGraph graph(n);
+  for (graph::NodeId from = 0; from < m; ++from) {
+    for (const simweb::Url& to : members[from]->links) {
       auto it = index.find(to);
       if (it != index.end()) {
         Status st = graph.AddEdge(from, it->second);
@@ -105,38 +98,42 @@ RefinementResult RefineImpl(const RankingModuleConfig& config,
   }
 
   // Write importance back into collection entries.
-  for (const simweb::Url& url : member_urls) {
-    CollectionEntry* entry = collection.FindMutable(url);
-    if (entry != nullptr) entry->importance = score[index.at(url)];
+  for (graph::NodeId id = 0; id < m; ++id) {
+    CollectionEntry* entry = collection.FindMutable(urls[id]);
+    if (entry != nullptr) entry->importance = score[id];
   }
 
-  // Pair best candidates with worst members under hysteresis.
-  std::sort(candidates.begin(), candidates.end(),
-            [&](const simweb::Url& a, const simweb::Url& b) {
-              return score[index.at(a)] > score[index.at(b)];
+  // Pair best candidates with worst members under hysteresis. Both
+  // id ranges start in canonical URL order, so std::sort makes the same
+  // comparisons and moves as it would sorting the URLs themselves.
+  std::vector<graph::NodeId> cands(n - m);
+  std::iota(cands.begin(), cands.end(), m);
+  std::sort(cands.begin(), cands.end(),
+            [&](graph::NodeId a, graph::NodeId b) {
+              return score[a] > score[b];
             });
   // Free space first: while below capacity, admit the best candidates
   // outright (no victim needed).
   std::size_t free_slots = collection.capacity() - collection.size();
-  std::size_t admitted = std::min(free_slots, candidates.size());
-  result.admissions.assign(candidates.begin(),
-                           candidates.begin() +
-                               static_cast<long>(admitted));
-  candidates.erase(candidates.begin(),
-                   candidates.begin() + static_cast<long>(admitted));
-  std::sort(member_urls.begin(), member_urls.end(),
-            [&](const simweb::Url& a, const simweb::Url& b) {
-              return score[index.at(a)] < score[index.at(b)];
+  std::size_t admitted = std::min(free_slots, cands.size());
+  for (std::size_t i = 0; i < admitted; ++i) {
+    result.admissions.push_back(urls[cands[i]]);
+  }
+  cands.erase(cands.begin(), cands.begin() + static_cast<long>(admitted));
+  std::vector<graph::NodeId> victims(m);
+  std::iota(victims.begin(), victims.end(), 0);
+  std::sort(victims.begin(), victims.end(),
+            [&](graph::NodeId a, graph::NodeId b) {
+              return score[a] < score[b];
             });
   std::size_t pairs =
-      std::min({candidates.size(), member_urls.size(),
-                config.max_replacements});
+      std::min({cands.size(), victims.size(), config.max_replacements});
   for (std::size_t i = 0; i < pairs; ++i) {
-    double cand_score = score[index.at(candidates[i])];
-    double victim_score = score[index.at(member_urls[i])];
+    double cand_score = score[cands[i]];
+    double victim_score = score[victims[i]];
     if (cand_score <= victim_score * config.replacement_hysteresis) break;
     result.replacements.push_back(Replacement{
-        member_urls[i], candidates[i], victim_score, cand_score});
+        urls[victims[i]], urls[cands[i]], victim_score, cand_score});
   }
   return result;
 }
