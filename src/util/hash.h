@@ -14,7 +14,13 @@ uint64_t Fnv1a64(std::string_view data);
 uint64_t Fnv1a64Seeded(std::string_view data, uint64_t seed);
 
 /// Mixes a new 64-bit value into an accumulated hash (Boost-style).
-uint64_t HashCombine(uint64_t seed, uint64_t value);
+/// Inline: URL hashing and the page-body filler call it per element.
+inline uint64_t HashCombine(uint64_t seed, uint64_t value) {
+  // 64-bit variant of boost::hash_combine with a splitmix-style mixer.
+  uint64_t z = value + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  return seed ^ (z ^ (z >> 31));
+}
 
 /// 128-bit content checksum, the crawler's stand-in for the page digest
 /// the paper's UpdateModule records "from the last crawl" to detect
