@@ -1,5 +1,8 @@
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +11,7 @@
 #include "graph/pagerank.h"
 #include "graph/site_graph.h"
 #include "simweb/simulated_web.h"
+#include "util/random.h"
 
 namespace webevo::graph {
 namespace {
@@ -161,6 +165,128 @@ TEST(PageRankTest, TopKByRankOrdersAndClamps) {
   EXPECT_EQ(top[1], 3u);
   EXPECT_EQ(top[2], 2u);
   EXPECT_EQ(TopKByRank(rank, 99).size(), 4u);
+}
+
+// The push-style power iteration ComputePageRank used before it became a
+// fused pull pass, kept verbatim as the reference the pull pass must
+// match bit for bit.
+PageRankResult PushPageRank(const LinkGraph& graph,
+                            const PageRankOptions& options) {
+  const NodeId n = graph.num_nodes();
+  const double nd = static_cast<double>(n);
+  const double d = options.damping;
+
+  PageRankResult result;
+  std::vector<double> rank(n, 1.0);  // paper: start all PR at 1
+  std::vector<double> next(n, 0.0);
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    double dangling = 0.0;
+    if (options.redistribute_dangling) {
+      for (NodeId v = 0; v < n; ++v) {
+        if (graph.OutDegree(v) == 0) dangling += rank[v];
+      }
+    }
+    const double base = (1.0 - d) + d * dangling / nd;
+    std::fill(next.begin(), next.end(), base);
+    for (NodeId v = 0; v < n; ++v) {
+      const uint32_t deg = graph.OutDegree(v);
+      if (deg == 0) continue;
+      const double share = d * rank[v] / static_cast<double>(deg);
+      for (NodeId to : graph.OutNeighbors(v)) next[to] += share;
+    }
+    double residual = 0.0;
+    for (NodeId v = 0; v < n; ++v) residual += std::abs(next[v] - rank[v]);
+    rank.swap(next);
+    result.iterations = iter + 1;
+    result.residual = residual;
+    if (residual < options.tolerance) {
+      result.converged = true;
+      break;
+    }
+  }
+  result.rank = std::move(rank);
+  return result;
+}
+
+struct Edge {
+  NodeId from;
+  NodeId to;
+};
+
+// A seeded random multigraph: about a quarter of the nodes dangle, some
+// edges are doubled or self-loops, and the edge list is shuffled so
+// insertion order says nothing about source order.
+std::vector<Edge> RandomEdges(Rng& rng, NodeId n) {
+  std::vector<Edge> edges;
+  for (NodeId v = 0; v < n; ++v) {
+    if (rng.Bernoulli(0.25)) continue;
+    const uint64_t deg = 1 + rng.NextBounded(6);
+    for (uint64_t k = 0; k < deg; ++k) {
+      Edge e{v, static_cast<NodeId>(rng.NextBounded(n))};
+      edges.push_back(e);
+      if (rng.Bernoulli(0.1)) edges.push_back(e);
+    }
+  }
+  for (size_t i = edges.size(); i > 1; --i) {
+    std::swap(edges[i - 1], edges[rng.NextBounded(i)]);
+  }
+  return edges;
+}
+
+TEST(PageRankTest, PullPassMatchesPushBitForBit) {
+  Rng rng(20000101);
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto n = static_cast<NodeId>(1 + rng.NextBounded(400));
+    LinkGraph g(n);
+    for (const Edge& e : RandomEdges(rng, n)) {
+      ASSERT_TRUE(g.AddEdge(e.from, e.to).ok());
+    }
+    g.Finalize();
+    for (bool redistribute : {true, false}) {
+      for (int max_iterations : {600, 7}) {
+        PageRankOptions options;
+        options.damping = trial % 2 == 0 ? 0.9 : 0.85;
+        options.redistribute_dangling = redistribute;
+        options.max_iterations = max_iterations;
+        SCOPED_TRACE(::testing::Message()
+                     << "trial " << trial << " n " << n << " redistribute "
+                     << redistribute << " max_iterations " << max_iterations);
+        const PageRankResult want = PushPageRank(g, options);
+        auto got = ComputePageRank(g, options);
+        ASSERT_TRUE(got.ok());
+        EXPECT_EQ(got->iterations, want.iterations);
+        EXPECT_EQ(got->converged, want.converged);
+        EXPECT_EQ(std::memcmp(&got->residual, &want.residual,
+                              sizeof(double)),
+                  0);
+        ASSERT_EQ(got->rank.size(), want.rank.size());
+        EXPECT_EQ(std::memcmp(got->rank.data(), want.rank.data(),
+                              n * sizeof(double)),
+                  0);
+      }
+    }
+  }
+}
+
+TEST(LinkGraphTest, InNeighborsAscendBySourceWhateverInsertionOrder) {
+  Rng rng(19990217);
+  for (int trial = 0; trial < 20; ++trial) {
+    const auto n = static_cast<NodeId>(1 + rng.NextBounded(200));
+    const std::vector<Edge> edges = RandomEdges(rng, n);
+    LinkGraph g(n);
+    std::vector<std::vector<NodeId>> want(n);
+    for (const Edge& e : edges) {
+      ASSERT_TRUE(g.AddEdge(e.from, e.to).ok());
+      want[e.to].push_back(e.from);
+    }
+    g.Finalize();
+    for (NodeId v = 0; v < n; ++v) {
+      std::sort(want[v].begin(), want[v].end());
+      auto in = g.InNeighbors(v);
+      EXPECT_EQ(std::vector<NodeId>(in.begin(), in.end()), want[v])
+          << "trial " << trial << " node " << v;
+    }
+  }
 }
 
 // -------------------------------------------------------------------- HITS
