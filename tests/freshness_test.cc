@@ -1,10 +1,15 @@
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "freshness/analytic.h"
 #include "freshness/freshness_tracker.h"
 #include "freshness/revisit_optimizer.h"
+#include "util/random.h"
 
 namespace webevo::freshness {
 namespace {
@@ -369,6 +374,130 @@ TEST(OptimizerTest, EvaluateFreshnessValidates) {
   auto f = RevisitOptimizer::EvaluateFreshness(groups, {1.0});
   ASSERT_TRUE(f.ok());
   EXPECT_GT(*f, 0.9);
+}
+
+// The optimizer as it was before its bisections stopped at their fixed
+// point: 200 fixed halvings in both, kept verbatim as the reference the
+// early-exit solver must match bit for bit.
+namespace full_bisection {
+
+double G(double x) { return 1.0 - std::exp(-x) - x * std::exp(-x); }
+
+double InverseG(double y) {
+  double lo = 1e-12, hi = 745.0;
+  if (y <= G(lo)) return lo;
+  if (y >= G(hi)) return hi;
+  for (int i = 0; i < 200; ++i) {
+    double mid = 0.5 * (lo + hi);
+    if (G(mid) < y) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return 0.5 * (lo + hi);
+}
+
+double FrequencyAt(double lambda, double mu) {
+  if (lambda <= 0.0) return 0.0;
+  double y = mu * lambda;
+  if (y >= 1.0) return 0.0;
+  return lambda / InverseG(y);
+}
+
+double TotalVisits(const std::vector<RateGroup>& groups, double mu) {
+  double total = 0.0;
+  for (const auto& g : groups) total += g.weight * FrequencyAt(g.rate, mu);
+  return total;
+}
+
+// Optimize's multiplier for groups with at least one positive rate.
+double Multiplier(const std::vector<RateGroup>& groups, double budget) {
+  double hi = 0.0;
+  for (const auto& g : groups) {
+    if (g.rate > 0.0) hi = std::max(hi, 1.0 / g.rate);
+  }
+  double lo = hi;
+  while (TotalVisits(groups, lo) < budget) {
+    lo /= 2.0;
+    if (lo < 1e-300) break;
+  }
+  for (int i = 0; i < 200; ++i) {
+    double mid = 0.5 * (lo + hi);
+    if (TotalVisits(groups, mid) > budget) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return 0.5 * (lo + hi);
+}
+
+}  // namespace full_bisection
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+// Rates log-uniform over [1/1000, 10] changes a day with a few static
+// pages, weights in [1, 100).
+std::vector<RateGroup> RandomGroups(Rng& rng, std::size_t count) {
+  std::vector<RateGroup> groups(count);
+  for (auto& g : groups) {
+    g.rate = rng.Bernoulli(0.05) ? 0.0 : 1e-3 * std::pow(1e4, rng.NextDouble());
+    g.weight = rng.Uniform(1.0, 100.0);
+  }
+  return groups;
+}
+
+TEST(OptimizerTest, EarlyExitBisectionMatchesFullBisectionBitForBit) {
+  Rng rng(20000101);
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto groups = RandomGroups(rng, 1 + rng.NextBounded(40));
+    double weight = 0.0;
+    for (const auto& g : groups) weight += g.weight;
+    // From one visit per 1000 pages a day to ten visits per page a day.
+    const double budget = weight * 1e-3 * std::pow(1e4, rng.NextDouble());
+    SCOPED_TRACE(::testing::Message() << "trial " << trial << " groups "
+                                      << groups.size() << " budget "
+                                      << budget);
+    auto alloc = RevisitOptimizer::Optimize(groups, budget);
+    ASSERT_TRUE(alloc.ok());
+    bool any_positive = false;
+    for (const auto& g : groups) any_positive |= g.rate > 0.0;
+    if (!any_positive) continue;
+    const double mu = full_bisection::Multiplier(groups, budget);
+    EXPECT_EQ(Bits(alloc->multiplier), Bits(mu));
+    std::vector<double> want(groups.size());
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+      want[i] = full_bisection::FrequencyAt(groups[i].rate, mu);
+      EXPECT_EQ(Bits(alloc->frequency[i]), Bits(want[i])) << "group " << i;
+    }
+    auto freshness = RevisitOptimizer::EvaluateFreshness(groups, want);
+    ASSERT_TRUE(freshness.ok());
+    EXPECT_EQ(Bits(alloc->freshness), Bits(*freshness));
+  }
+  // Single-page pricing over multipliers on both sides of 1/rate.
+  for (int i = 0; i < 2000; ++i) {
+    const double rate = 1e-3 * std::pow(1e4, rng.NextDouble());
+    const double mu = std::pow(10.0, rng.Uniform(-6.0, 4.0));
+    EXPECT_EQ(Bits(RevisitOptimizer::FrequencyAtMultiplier(rate, mu)),
+              Bits(full_bisection::FrequencyAt(rate, mu)))
+        << "rate " << rate << " multiplier " << mu;
+  }
+}
+
+TEST(OptimizerTest, UngroupedPerPageRatesSolveQuickly) {
+  // One group per page, as a caller that skips rate bucketing passes
+  // them: 20000 groups. With 200 fixed halvings in both bisections this
+  // call took about 20 s; the suite's ctest TIMEOUT fails a relapse.
+  Rng rng(19990217);
+  std::vector<RateGroup> groups(20000);
+  for (auto& g : groups) g.rate = 1e-3 * std::pow(1e4, rng.NextDouble());
+  const double budget = 0.25 * static_cast<double>(groups.size());
+  auto alloc = RevisitOptimizer::Optimize(groups, budget);
+  ASSERT_TRUE(alloc.ok());
+  double spent = 0.0;
+  for (double f : alloc->frequency) spent += f;
+  EXPECT_NEAR(spent, budget, budget * 1e-6);
 }
 
 // ------------------------------------------------------------- the tracker
