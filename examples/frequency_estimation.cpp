@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "estimator/bayesian_estimator.h"
@@ -44,11 +45,12 @@ int main() {
     auto interval_of = [](double r) {
       return r > 0.0 ? TablePrinter::Fmt(1.0 / r, 1) : std::string("inf");
     };
+    std::string ci_text = "[";
+    ci_text += interval_of(ci.hi) + ", " + interval_of(ci.lo) + "]d";
     table.AddRow({TablePrinter::Fmt(interval, 1) + "d",
                   interval_of(estimators[0]->EstimatedRate()) + "d",
                   interval_of(estimators[1]->EstimatedRate()) + "d",
-                  "[" + interval_of(ci.hi) + ", " + interval_of(ci.lo) +
-                      "]d",
+                  ci_text,
                   interval_of(estimators[2]->EstimatedRate()) + "d",
                   interval_of(estimators[3]->EstimatedRate()) + "d"});
   }

@@ -16,11 +16,6 @@ constexpr uint16_t kTombstone = 0xFFFF;
 constexpr std::size_t kSlotDirEntry = 4;  // u16 off + u16 len
 constexpr std::size_t kPageHeader = 2;    // u16 nslots
 
-uint16_t ReadU16(const char* p) {
-  return static_cast<uint16_t>(static_cast<unsigned char>(p[0]) |
-                               (static_cast<unsigned char>(p[1]) << 8));
-}
-
 void WriteU16(char* p, uint16_t v) {
   p[0] = static_cast<char>(v & 0xFF);
   p[1] = static_cast<char>((v >> 8) & 0xFF);
